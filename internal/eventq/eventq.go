@@ -7,7 +7,10 @@
 // (the slice grows amortized, like append) and the sift loops compare plain
 // struct fields instead of going through an interface. This matters: the
 // simulator pushes one event per plan segment per policy invocation, so the
-// queue is on the per-event hot path (see docs/PERFORMANCE.md).
+// queue is on the per-event hot path (see docs/PERFORMANCE.md). Reserve and
+// PushSeq let an owner keep events outside the heap until they are due
+// without changing the pop order, so the heap stays as small as the set of
+// events in flight.
 package eventq
 
 // Item is a queued event: an opaque payload scheduled at an absolute time.
@@ -28,22 +31,36 @@ type Queue[P any] struct {
 // Len returns the number of pending events.
 func (q *Queue[P]) Len() int { return len(q.h) }
 
-// Grow reserves capacity for at least n additional events, so a bulk insert
-// of a known size performs at most one allocation.
-func (q *Queue[P]) Grow(n int) {
-	if need := len(q.h) + n; need > cap(q.h) {
-		h := make([]Item[P], len(q.h), need)
-		copy(h, q.h)
-		q.h = h
-	}
-}
-
 // Push schedules payload at time t. Events pushed with equal times dequeue
 // in insertion order.
 func (q *Queue[P]) Push(t float64, payload P) {
-	q.h = append(q.h, Item[P]{Time: t, Payload: payload, seq: q.seq})
+	q.PushSeq(t, q.seq, payload)
 	q.seq++
+}
+
+// Reserve claims n consecutive sequence numbers without queueing anything
+// and returns the first. A caller that keeps some events outside the queue
+// until they become due (a release-ordered arrival list, say) reserves
+// their numbers at the instant the queue would have assigned them, then
+// pushes each one with PushSeq when it is due: the pop order is then
+// exactly that of pushing every event up front.
+func (q *Queue[P]) Reserve(n int) uint64 {
+	first := q.seq
+	q.seq += uint64(n)
+	return first
+}
+
+// PushSeq schedules payload at time t under a sequence number previously
+// claimed with Reserve (or read from an item with Seq).
+func (q *Queue[P]) PushSeq(t float64, seq uint64, payload P) {
+	q.h = append(q.h, Item[P]{Time: t, Payload: payload, seq: seq})
 	q.up(len(q.h) - 1)
+}
+
+// Before reports whether the item dequeues before an event at (t, seq) —
+// the queue's own order, for merging the queue with an outside event list.
+func (it Item[P]) Before(t float64, seq uint64) bool {
+	return it.less(&Item[P]{Time: t, seq: seq})
 }
 
 // Pop removes and returns the earliest event; ok is false when the queue is
@@ -77,8 +94,9 @@ func (q *Queue[P]) Peek() (it Item[P], ok bool) {
 // restore the identical pop order.
 func (it Item[P]) Seq() uint64 { return it.seq }
 
-// MakeItem builds an item with an explicit sequence number, for restoring
-// a serialized queue. Items built this way must only be passed to Restore.
+// MakeItem builds an item with an explicit sequence number: for restoring a
+// serialized queue, or for describing an event its owner keeps outside the
+// queue under a reserved number.
 func MakeItem[P any](t float64, seq uint64, payload P) Item[P] {
 	return Item[P]{Time: t, Payload: payload, seq: seq}
 }
@@ -92,48 +110,62 @@ func (q *Queue[P]) Snapshot() (items []Item[P], seq uint64) {
 	return q.h, q.seq
 }
 
-// Restore replaces the queue's state with a previously snapshotted heap
-// array and sequence counter. The items must be in valid heap order (as
-// returned by Snapshot); Restore copies the slice and trusts its order.
+// Restore replaces the queue's state with the given items and sequence
+// counter. The items may come in any order: Restore copies and heapifies
+// them (an array already in heap order, as Snapshot returns it, is left
+// as is). Pop order depends only on each item's (time, sequence number).
 func (q *Queue[P]) Restore(items []Item[P], seq uint64) {
 	q.h = append(q.h[:0], items...)
 	q.seq = seq
+	for i := len(q.h)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
 // less orders by time, then by insertion sequence (FIFO among ties).
-func (q *Queue[P]) less(a, b int) bool {
-	if q.h[a].Time != q.h[b].Time {
-		return q.h[a].Time < q.h[b].Time
+func (a *Item[P]) less(b *Item[P]) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
 	}
-	return q.h[a].seq < q.h[b].seq
+	return a.seq < b.seq
 }
 
+// up and down sift through a hole: the moving item is held aside while
+// the items it passes shift one level, and is written once where it
+// stops — the same comparisons and final layout as swapping at every
+// level, with half the copying.
 func (q *Queue[P]) up(i int) {
+	h := q.h
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !x.less(&h[parent]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 }
 
 func (q *Queue[P]) down(i int) {
-	n := len(q.h)
+	h := q.h
+	n := len(h)
+	x := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		least := l
-		if r := l + 1; r < n && q.less(r, l) {
+		if r := l + 1; r < n && h[r].less(&h[l]) {
 			least = r
 		}
-		if !q.less(least, i) {
+		if !h[least].less(&x) {
 			break
 		}
-		q.h[i], q.h[least] = q.h[least], q.h[i]
+		h[i] = h[least]
 		i = least
 	}
+	h[i] = x
 }

@@ -93,9 +93,8 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-// Bulk insert then full drain — the pattern sim.Run uses at startup (two
-// events per job) — must come out in exact (time, insertion) order even at
-// scale, including runs of equal-time events.
+// Bulk insert then full drain must come out in exact (time, insertion)
+// order even at scale, including runs of equal-time events.
 func TestBulkInsertDrainStableOrder(t *testing.T) {
 	const n = 50000
 	rng := rand.New(rand.NewSource(3))
@@ -103,7 +102,6 @@ func TestBulkInsertDrainStableOrder(t *testing.T) {
 		id int
 	}
 	var q Queue[tagged]
-	q.Grow(n)
 	times := make([]float64, n)
 	for i := 0; i < n; i++ {
 		// Coarse-grained times force many exact ties.

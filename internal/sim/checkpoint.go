@@ -1,19 +1,22 @@
 // Checkpoint/resume: crash recovery for long simulation runs. Every
 // CheckpointConfig.Every simulated seconds the engine serializes its
-// complete state — jobs, cores, the event heap in heap order with its
-// sequence counter, every counter, and (for stateful policies) the policy's
-// own cursor — into a versioned Snapshot. Resume rebuilds an engine from a
-// snapshot and drives it to completion; the result is bit-identical
-// (Float64bits) to the uninterrupted run.
+// complete state — jobs, cores, every pending event with its sequence
+// number and the queue's sequence counter, every counter, and (for
+// stateful policies) the policy's own cursor — into a versioned Snapshot.
+// Resume rebuilds an engine from a snapshot and drives it to completion;
+// the result is bit-identical (Float64bits) to the uninterrupted run.
 //
 // Two properties make byte-identity possible:
 //
 //   - Checkpoint events are bookkeeping-free. They do not count as processed
 //     events, settle no cores, and skip the power audit — a checkpointed run
 //     is indistinguishable from an unchecked one (see the run loop).
-//   - The event heap is serialized in heap-array order together with its
-//     insertion-sequence counter, so the restored queue pops in the exact
-//     same order, including FIFO tie-breaks among equal-time events.
+//   - Every pending event is serialized with its insertion sequence number:
+//     the heap's items in heap-array order, then the arrival and deadline
+//     events of the jobs not yet arrived, which the engine keeps outside
+//     the heap. Restoring splits them the same way, so the engine pops in
+//     the exact same order, including FIFO tie-breaks among equal-time
+//     events.
 //
 // Snapshots carry a fingerprint of the configuration and policy (FNV-1a
 // over every scalar, fault window, admission/retry setting, and probe
@@ -25,6 +28,7 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 
 	"dessched/internal/cfgerr"
@@ -169,7 +173,7 @@ func (e *engine) snapshot(now float64) *Snapshot {
 		FirstRelease: e.firstRelease,
 		Counters: counterSnap{
 			Undeparted:       e.undeparted,
-			PendingArrivals:  e.pendingArrivals,
+			PendingArrivals:  e.pendingArrivals(),
 			LastDeparture:    e.lastDeparture,
 			Invocations:      e.invocations,
 			PeakPower:        e.peakPower,
@@ -225,9 +229,10 @@ func (e *engine) snapshot(now float64) *Snapshot {
 		snap.Cores[i] = cs
 	}
 	items, seq := e.events.Snapshot()
+	pending := e.arrivals[e.nextArrival:]
 	snap.EventSeq = seq
-	snap.Events = make([]eventSnap, len(items))
-	for i, it := range items {
+	snap.Events = make([]eventSnap, 0, len(items)+2*len(pending))
+	for _, it := range items {
 		es := eventSnap{T: it.Time, Seq: it.Seq(), Kind: uint8(it.Payload.kind), Version: it.Payload.version, Job: -1, Core: -1}
 		if it.Payload.js != nil {
 			es.Job = jobIdx[it.Payload.js]
@@ -235,7 +240,16 @@ func (e *engine) snapshot(now float64) *Snapshot {
 		if it.Payload.core != nil {
 			es.Core = it.Payload.core.Index
 		}
-		snap.Events[i] = es
+		snap.Events = append(snap.Events, es)
+	}
+	// A job that has not arrived keeps its arrival and deadline events out
+	// of the heap (see engine.arrivals). The snapshot lists both as the
+	// events they stand for, so the format does not depend on that split.
+	for _, a := range pending {
+		ji := jobIdx[a.js]
+		snap.Events = append(snap.Events,
+			eventSnap{T: a.js.Job.Release, Seq: a.seq, Kind: uint8(evkArrival), Job: ji, Core: -1},
+			eventSnap{T: a.js.Job.Deadline, Seq: a.seq + 1, Kind: uint8(evkDeadline), Job: ji, Core: -1})
 	}
 	if sp, ok := e.policy.(StatefulPolicy); ok {
 		if blob, err := sp.SavePolicyState(); err == nil && len(blob) > 0 {
@@ -434,22 +448,12 @@ func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 			}
 		}
 	}
-	items := make([]eventq.Item[simEvent], len(snap.Events))
-	for i, es := range snap.Events {
-		ev := simEvent{kind: evKind(es.Kind), version: es.Version}
-		if es.Job >= 0 {
-			ev.js = e.all[es.Job]
-		}
-		if es.Core >= 0 {
-			ev.core = e.cores[es.Core]
-		}
-		items[i] = eventq.MakeItem(es.T, es.Seq, ev)
+	if err := e.restoreEvents(snap); err != nil {
+		return nil, err
 	}
-	e.events.Restore(items, snap.EventSeq)
 
 	c := snap.Counters
 	e.undeparted = c.Undeparted
-	e.pendingArrivals = c.PendingArrivals
 	e.lastDeparture = c.LastDeparture
 	e.invocations = c.Invocations
 	e.peakPower = c.PeakPower
@@ -470,6 +474,64 @@ func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// restoreEvents rebuilds the engine's event set from a snapshot's event
+// list. Arrival events, and the deadline events of the jobs they belong
+// to, go back to the arrival list; everything else goes into the heap.
+// Every pending arrival must come with its deadline event under the next
+// sequence number, as the engine always writes them.
+func (e *engine) restoreEvents(snap *Snapshot) error {
+	bad := func(reason string, args ...any) error {
+		return cfgerr.New("sim", "checkpoint", "sim: invalid snapshot: "+reason, args...)
+	}
+	arrival := make(map[int]uint64) // job index → arrival seq
+	for _, es := range snap.Events {
+		if evKind(es.Kind) != evkArrival {
+			continue
+		}
+		if _, dup := arrival[es.Job]; dup {
+			return bad("job %d has two arrival events", es.Job)
+		}
+		if es.T != snap.Jobs[es.Job].Release {
+			return bad("job %d arrives at %g, not at its release %g", es.Job, es.T, snap.Jobs[es.Job].Release)
+		}
+		arrival[es.Job] = es.Seq
+		e.arrivals = append(e.arrivals, pendingArrival{js: e.all[es.Job], seq: es.Seq})
+	}
+	if len(e.arrivals) != snap.Counters.PendingArrivals {
+		return bad("%d arrival events for %d pending arrivals", len(e.arrivals), snap.Counters.PendingArrivals)
+	}
+	slices.SortFunc(e.arrivals, arrivalOrder)
+
+	deadline := make(map[int]bool, len(arrival)) // pending jobs whose deadline was seen
+	items := make([]eventq.Item[simEvent], 0, len(snap.Events))
+	for _, es := range snap.Events {
+		k := evKind(es.Kind)
+		if k == evkArrival {
+			continue
+		}
+		if seq, pending := arrival[es.Job]; pending && k == evkDeadline {
+			if deadline[es.Job] || es.Seq != seq+1 || es.T != snap.Jobs[es.Job].Deadline {
+				return bad("job %d: deadline event does not match its pending arrival", es.Job)
+			}
+			deadline[es.Job] = true
+			continue
+		}
+		ev := simEvent{kind: k, version: es.Version}
+		if es.Job >= 0 {
+			ev.js = e.all[es.Job]
+		}
+		if es.Core >= 0 {
+			ev.core = e.cores[es.Core]
+		}
+		items = append(items, eventq.MakeItem(es.T, es.Seq, ev))
+	}
+	if len(deadline) != len(arrival) {
+		return bad("%d pending arrivals without a deadline event", len(arrival)-len(deadline))
+	}
+	e.events.Restore(items, snap.EventSeq)
+	return nil
 }
 
 // fingerprintConfig hashes everything about a configuration that affects

@@ -93,6 +93,21 @@ func (c *Config) BudgetAt(t float64) float64 {
 	return b
 }
 
+// nextBudgetChange returns the earliest window edge after t — the next
+// instant BudgetAt may change — or +Inf when none remains.
+func (c *Config) nextBudgetChange(t float64) float64 {
+	next := math.Inf(1)
+	for _, f := range c.BudgetFaults {
+		if f.Start > t && f.Start < next {
+			next = f.Start
+		}
+		if f.End > t && f.End < next {
+			next = f.End
+		}
+	}
+	return next
+}
+
 // speedFactor returns the effective speed multiplier of a core at time t.
 // Overlapping faults compound multiplicatively.
 func (e *engine) speedFactor(core int, t float64) float64 {

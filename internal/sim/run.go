@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dessched/internal/admission"
@@ -130,23 +132,40 @@ type completion struct {
 	at float64
 }
 
+// pendingArrival is a job that has been handed to the engine but has not
+// arrived yet. It holds two reserved sequence numbers: seq for its arrival
+// and seq+1 for its deadline, the numbers pushing both events at hand-over
+// would have taken.
+type pendingArrival struct {
+	js  *JobState
+	seq uint64
+}
+
 type engine struct {
 	cfg    Config
 	policy Policy
-	events eventq.Queue[simEvent]
 	cores  []*CoreState
 	queue  []*JobState
 	all    []*JobState
 	state  *State
 
-	undeparted      int
-	pendingArrivals int
-	lastDeparture   float64
+	// The event set is split in two so the heap holds only events in
+	// flight. Jobs not yet arrived wait in arrivals, ordered by (release,
+	// seq) from index nextArrival on; a job's deadline event enters the
+	// heap when the job arrives. events holds everything else. nextEvent
+	// merges the two in the heap's own (time, seq) order, so events pop
+	// exactly as if every arrival and deadline had been pushed up front.
+	events      eventq.Queue[simEvent]
+	arrivals    []pendingArrival
+	nextArrival int
+
+	undeparted    int
+	lastDeparture float64
 
 	// moreArrivals marks a streamed run that expects further Feed calls:
 	// the periodic quantum stays alive and the run does not stop when the
 	// system momentarily drains. Always false in batch runs, where
-	// pendingArrivals already counts every future arrival.
+	// arrivals already holds every future arrival.
 	moreArrivals bool
 
 	// fold, when non-nil, accumulates per-job result statistics as the
@@ -175,58 +194,75 @@ type engine struct {
 	powCache    []power.SpeedCache
 	idlePower   float64
 	completions []completion
+
+	// Power-audit memo (see audit). coreDraw[i] is core i's instantaneous
+	// draw, constant until coreDrawUntil[i]; drawTotal is their sum in core
+	// order, valid until drawUntil (the earliest per-core bound). A plan
+	// install or evacuation resets the core's bound and drawUntil to -Inf.
+	// budgetLimit is the audit threshold derived from BudgetAt, constant
+	// until budgetLimitUntil (the next budget-window edge).
+	coreDraw         []float64
+	coreDrawUntil    []float64
+	drawTotal        float64
+	drawUntil        float64
+	budgetLimit      float64
+	budgetLimitUntil float64
 }
 
 // Run simulates the policy over the job stream and returns the aggregate
 // result. Jobs must be valid with deadlines agreeable within each class
 // (job.ValidateAllByClass); unclassed streams must be globally agreeable.
 func Run(cfg Config, jobs []job.Job, p Policy) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	e, err := newBatchEngine(cfg, jobs, p)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := job.ValidateAllByClass(jobs); err != nil {
-		return Result{}, err
-	}
-	e := newEngine(cfg, p)
-
-	// Size the queue for the static events up front; segment events reuse
-	// the slack freed by popped arrivals/deadlines.
-	e.events.Grow(2*len(jobs) + 2*len(cfg.Faults) + 2*len(cfg.BudgetFaults) + 2)
-
-	firstRelease := math.Inf(1)
-	for i := range jobs {
-		js := &JobState{Job: jobs[i], Core: -1}
-		e.all = append(e.all, js)
-		e.events.Push(js.Job.Release, simEvent{kind: evkArrival, js: js})
-		e.events.Push(js.Job.Deadline, simEvent{kind: evkDeadline, js: js})
-		if js.Job.Release < firstRelease {
-			firstRelease = js.Job.Release
-		}
-	}
-	e.undeparted = len(jobs)
-	e.pendingArrivals = len(jobs)
 	if len(jobs) == 0 {
 		return e.result(0, 0), nil
 	}
-	e.firstRelease = firstRelease
-	if cfg.Triggers.Quantum > 0 {
-		e.events.Push(firstRelease, simEvent{kind: evkQuantum})
-		e.quantumLive = true
+	return e.run()
+}
+
+// newBatchEngine validates a batch run and builds its engine: every job
+// pending, the run's static events queued.
+func newBatchEngine(cfg Config, jobs []job.Job, p Policy) (*engine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	for _, f := range cfg.Faults {
-		e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
-		if !math.IsInf(f.End, 1) {
-			e.events.Push(f.End, simEvent{kind: evkFaultEdge})
-		}
+	if err := job.ValidateAllByClass(jobs); err != nil {
+		return nil, err
 	}
+	e := newEngine(cfg, p)
+	e.addArrivals(jobs)
+	if len(jobs) == 0 {
+		return e, nil
+	}
+	e.start(e.arrivals[0].js.Job.Release)
 	for _, f := range cfg.BudgetFaults {
 		e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
 		e.events.Push(f.End, simEvent{kind: evkFaultEdge})
 	}
 	if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 {
-		e.events.Push(firstRelease+cfg.Checkpoint.Every, simEvent{kind: evkCheckpoint})
+		e.events.Push(e.firstRelease+cfg.Checkpoint.Every, simEvent{kind: evkCheckpoint})
 	}
-	return e.run()
+	return e, nil
+}
+
+// start opens a run once its first arrivals are pending: it records the
+// first release and queues the quantum tick there, then the core fault
+// edges. Budget-fault edges follow, pushed by the caller.
+func (e *engine) start(firstRelease float64) {
+	e.firstRelease = firstRelease
+	if e.cfg.Triggers.Quantum > 0 {
+		e.events.Push(firstRelease, simEvent{kind: evkQuantum})
+		e.quantumLive = true
+	}
+	for _, f := range e.cfg.Faults {
+		e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
+		if !math.IsInf(f.End, 1) {
+			e.events.Push(f.End, simEvent{kind: evkFaultEdge})
+		}
+	}
 }
 
 // newEngine builds an engine shell — cores, policy state view, power
@@ -240,7 +276,80 @@ func newEngine(cfg Config, p Policy) *engine {
 	e.state = &State{Cfg: &e.cfg, Cores: e.cores, engine: e}
 	e.powCache = make([]power.SpeedCache, cfg.Cores)
 	e.idlePower = cfg.Power.DynamicPower(cfg.IdleBurnSpeed)
+	e.coreDraw = make([]float64, cfg.Cores)
+	e.coreDrawUntil = make([]float64, cfg.Cores)
+	for i := range e.cores {
+		e.redraw(i)
+	}
+	e.budgetChanged()
 	return e
+}
+
+// addArrivals hands jobs to the engine as pending arrivals. Each job
+// reserves the two sequence numbers its arrival and deadline events would
+// have taken had both been pushed now, so keeping them out of the heap
+// until the job arrives changes no tie-break. The pending list stays
+// ordered by (release, seq); batch callers may pass jobs in any order.
+func (e *engine) addArrivals(jobs []job.Job) {
+	if e.nextArrival > 0 {
+		// Drop the consumed prefix so a long-lived stream's list stays
+		// as short as its not-yet-arrived tail.
+		n := copy(e.arrivals, e.arrivals[e.nextArrival:])
+		clear(e.arrivals[n:])
+		e.arrivals = e.arrivals[:n]
+		e.nextArrival = 0
+	}
+	seq := e.events.Reserve(2 * len(jobs))
+	sorted := true
+	for i := range jobs {
+		js := &JobState{Job: jobs[i], Core: -1}
+		e.all = append(e.all, js)
+		if n := len(e.arrivals); n > 0 && js.Job.Release < e.arrivals[n-1].js.Job.Release {
+			sorted = false
+		}
+		e.arrivals = append(e.arrivals, pendingArrival{js: js, seq: seq + 2*uint64(i)})
+	}
+	if !sorted {
+		slices.SortFunc(e.arrivals, arrivalOrder)
+	}
+	e.undeparted += len(jobs)
+}
+
+// arrivalOrder orders pending arrivals as the heap would pop them: by
+// release, then by sequence number.
+func arrivalOrder(a, b pendingArrival) int {
+	if c := cmp.Compare(a.js.Job.Release, b.js.Job.Release); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// pendingArrivals counts the jobs handed to the engine that have not
+// arrived yet.
+func (e *engine) pendingArrivals() int { return len(e.arrivals) - e.nextArrival }
+
+// nextEvent removes and returns the earliest pending event strictly before
+// until: the head of the arrival list or the heap's top, whichever comes
+// first in (time, seq) order. ok is false when no event is due before
+// until.
+func (e *engine) nextEvent(until float64) (it eventq.Item[simEvent], ok bool) {
+	top, queued := e.events.Peek()
+	if e.nextArrival < len(e.arrivals) {
+		a := e.arrivals[e.nextArrival]
+		if t := a.js.Job.Release; !queued || !top.Before(t, a.seq) {
+			if t >= until {
+				return it, false
+			}
+			e.arrivals[e.nextArrival] = pendingArrival{} // release for GC
+			e.nextArrival++
+			return eventq.MakeItem(t, a.seq, simEvent{kind: evkArrival, js: a.js}), true
+		}
+	}
+	if !queued || top.Time >= until {
+		return it, false
+	}
+	e.events.Pop()
+	return top, true
 }
 
 // contextPollMask throttles cancelation checks to one atomic load per
@@ -252,7 +361,7 @@ const contextPollMask = 1023
 // counters).
 func (e *engine) run() (Result, error) {
 	for {
-		it, ok := e.events.Pop()
+		it, ok := e.nextEvent(math.Inf(1))
 		if !ok {
 			break
 		}
@@ -287,7 +396,7 @@ func (e *engine) processEvent(it eventq.Item[simEvent]) (stop bool, err error) {
 		// Checkpoint config drops the event silently: a resumed run is
 		// free to continue without checkpointing even though the
 		// restored heap still carries the next checkpoint event.
-		if e.cfg.Checkpoint != nil && (e.undeparted > 0 || e.pendingArrivals > 0) {
+		if e.cfg.Checkpoint != nil && (e.undeparted > 0 || e.pendingArrivals() > 0) {
 			e.events.Push(now+e.cfg.Checkpoint.Every, simEvent{kind: evkCheckpoint})
 			e.checkpoints++
 			if err := e.cfg.Checkpoint.Sink(e.snapshot(now)); err != nil {
@@ -304,6 +413,7 @@ func (e *engine) processEvent(it eventq.Item[simEvent]) (stop bool, err error) {
 	}
 	switch ev := it.Payload; ev.kind {
 	case evkArrival:
+		e.events.PushSeq(ev.js.Job.Deadline, it.Seq()+1, simEvent{kind: evkDeadline, js: ev.js})
 		e.onArrival(now, ev.js)
 	case evkDeadline:
 		if !ev.js.Departed() {
@@ -325,7 +435,7 @@ func (e *engine) processEvent(it eventq.Item[simEvent]) (stop bool, err error) {
 	case evkQuantum:
 		e.quantumLive = false
 		e.invoke(now)
-		if e.undeparted > 0 || e.pendingArrivals > 0 || e.moreArrivals {
+		if e.undeparted > 0 || e.pendingArrivals() > 0 || e.moreArrivals {
 			e.events.Push(now+e.cfg.Triggers.Quantum, simEvent{kind: evkQuantum})
 			e.quantumLive = true
 		}
@@ -340,11 +450,10 @@ func (e *engine) processEvent(it eventq.Item[simEvent]) (stop bool, err error) {
 		e.invoke(now)
 	}
 	e.audit(now)
-	return e.undeparted == 0 && e.pendingArrivals == 0 && !e.moreArrivals, nil
+	return e.undeparted == 0 && e.pendingArrivals() == 0 && !e.moreArrivals, nil
 }
 
 func (e *engine) onArrival(now float64, js *JobState) {
-	e.pendingArrivals--
 	e.queue = append(e.queue, js)
 	e.state.queue = e.queue
 	e.emit(Event{Time: now, Kind: EvArrival, Job: js.Job.ID, Core: -1, Class: js.Job.Class})
@@ -441,6 +550,7 @@ func (e *engine) evacuateOutages(now float64) {
 		c.plan = nil
 		c.planCursor = 0
 		c.planVersion++ // stale-out pending segment events
+		e.redraw(c.Index)
 		e.state.queue = e.queue
 	}
 }
@@ -487,11 +597,12 @@ func (e *engine) invoke(now float64) {
 }
 
 // schedulePlanEvents pushes a segment-end event for every segment of the
-// core's freshly installed plan.
+// core's freshly installed plan and drops the core's memoized draw.
 func (e *engine) schedulePlanEvents(c *CoreState) {
 	for _, seg := range c.plan {
 		e.events.Push(seg.End, simEvent{kind: evkSegment, core: c, version: c.planVersion})
 	}
+	e.redraw(c.Index)
 }
 
 // settleCore integrates the core's plan up to time T: job progress, energy,
@@ -628,25 +739,62 @@ func (e *engine) depart(js *JobState, t float64, reason DepartReason) {
 // audit samples instantaneous power just after an event and tracks the peak
 // and budget violations against the effective (budget-faulted) budget.
 // Idle burn (No-DVFS) counts toward the draw.
+//
+// Both sides of the comparison are memoized. A core's draw is a step
+// function of time that can only step at its plan's segment edges, so it
+// is recomputed only once now reaches the next edge or the plan changes;
+// the total is re-summed, in core order from the per-core values, only
+// when some core's draw may have moved. Most events — stale segment ends,
+// deadlines of departed jobs — fall between edges and audit in O(1). The
+// values are those the direct computation yields, bit for bit.
 func (e *engine) audit(now float64) {
-	total := 0.0
-	for i, c := range e.cores {
-		s := c.SpeedAt(now)
-		if s == 0 {
-			// Idle burn is a run-wide constant, precomputed by the same
-			// DynamicPower call this branch used to make.
-			total += e.idlePower
-			continue
+	if now >= e.drawUntil {
+		total, until := 0.0, math.Inf(1)
+		for i, c := range e.cores {
+			if now >= e.coreDrawUntil[i] {
+				e.coreDraw[i] = e.drawAt(c, now)
+				e.coreDrawUntil[i] = c.nextSpeedChange(now)
+			}
+			total += e.coreDraw[i]
+			if e.coreDrawUntil[i] < until {
+				until = e.coreDrawUntil[i]
+			}
 		}
-		total += e.powCache[i].DynamicPower(e.cfg.Power, s)
+		e.drawTotal, e.drawUntil = total, until
 	}
+	if now >= e.budgetLimitUntil {
+		e.budgetLimit = e.cfg.BudgetAt(now)*(1+1e-6) + 1e-9
+		e.budgetLimitUntil = e.cfg.nextBudgetChange(now)
+	}
+	total := e.drawTotal
 	if total > e.peakPower {
 		e.peakPower = total
 	}
-	if total > e.cfg.BudgetAt(now)*(1+1e-6)+1e-9 {
+	if total > e.budgetLimit {
 		e.budgetViolations++
 	}
 }
+
+// drawAt is the core's instantaneous dynamic power at t.
+func (e *engine) drawAt(c *CoreState, t float64) float64 {
+	s := c.SpeedAt(t)
+	if s == 0 {
+		// Idle burn is a run-wide constant, precomputed by the same
+		// DynamicPower call this branch used to make.
+		return e.idlePower
+	}
+	return e.powCache[c.Index].DynamicPower(e.cfg.Power, s)
+}
+
+// redraw forgets core i's memoized draw after its plan changed.
+func (e *engine) redraw(i int) {
+	e.coreDrawUntil[i] = math.Inf(-1)
+	e.drawUntil = math.Inf(-1)
+}
+
+// budgetChanged forgets the memoized audit threshold after the budget
+// windows changed.
+func (e *engine) budgetChanged() { e.budgetLimitUntil = math.Inf(-1) }
 
 // resultFold accumulates the per-job slice of a Result incrementally, in
 // arrival-push order. The streamed engine folds departed jobs out of memory

@@ -343,6 +343,23 @@ func (c *CoreState) SpeedAt(t float64) float64 {
 	return 0
 }
 
+// nextSpeedChange returns the earliest instant after t at which SpeedAt
+// may return a different value: the first segment edge (start or end)
+// past t, or +Inf when none remains. SpeedAt tests each segment only
+// against its own edges, so it is constant from t up to that instant.
+func (c *CoreState) nextSpeedChange(t float64) float64 {
+	next := math.Inf(1)
+	for _, seg := range c.plan[c.planCursor:] {
+		if seg.Start > t && seg.Start < next {
+			next = seg.Start
+		}
+		if seg.End > t && seg.End < next {
+			next = seg.End
+		}
+	}
+	return next
+}
+
 // ReadyJobs converts the core's live jobs to the job.Ready form consumed by
 // Online-QE, marking the job currently executing at time t as Running.
 func (c *CoreState) ReadyJobs(t float64) []job.Ready {

@@ -21,8 +21,6 @@
 package sim
 
 import (
-	"math"
-
 	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 )
@@ -94,24 +92,15 @@ func (st *Stream) Feed(jobs []job.Job) error {
 	if len(jobs) == 0 {
 		return nil
 	}
+	e.addArrivals(jobs)
+	st.fed += len(jobs)
 	if !st.started {
-		// First arrivals: push the static events in Run's exact order —
-		// arrivals and deadlines, then the quantum at the first release,
+		// First arrivals: register the static events in Run's exact order
+		// — arrivals and deadlines, then the quantum at the first release,
 		// then fault and budget-fault edges — so FIFO tie-breaks among
 		// simultaneous static events match the batch run's.
 		st.started = true
-		e.firstRelease = jobs[0].Release
-		st.push(jobs)
-		if e.cfg.Triggers.Quantum > 0 {
-			e.events.Push(e.firstRelease, simEvent{kind: evkQuantum})
-			e.quantumLive = true
-		}
-		for _, f := range e.cfg.Faults {
-			e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
-			if !math.IsInf(f.End, 1) {
-				e.events.Push(f.End, simEvent{kind: evkFaultEdge})
-			}
-		}
+		e.start(jobs[0].Release)
 		for _, f := range e.cfg.BudgetFaults[:st.baseWindows] {
 			e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
 			e.events.Push(f.End, simEvent{kind: evkFaultEdge})
@@ -127,25 +116,8 @@ func (st *Stream) Feed(jobs []job.Job) error {
 				e.events.Push(f.End, simEvent{kind: evkFaultEdge})
 			}
 		}
-	} else {
-		st.push(jobs)
 	}
 	return nil
-}
-
-// push registers a batch of arrivals with the engine.
-func (st *Stream) push(jobs []job.Job) {
-	e := st.e
-	e.events.Grow(e.events.Len() + 2*len(jobs))
-	for i := range jobs {
-		js := &JobState{Job: jobs[i], Core: -1}
-		e.all = append(e.all, js)
-		e.events.Push(js.Job.Release, simEvent{kind: evkArrival, js: js})
-		e.events.Push(js.Job.Deadline, simEvent{kind: evkDeadline, js: js})
-	}
-	e.undeparted += len(jobs)
-	e.pendingArrivals += len(jobs)
-	st.fed += len(jobs)
 }
 
 // ExtendBudget declares the effective power-budget fraction over the epoch
@@ -162,6 +134,7 @@ func (st *Stream) push(jobs []job.Job) {
 // growing its idle members).
 func (st *Stream) ExtendBudget(t0, t1, frac float64) {
 	e := st.e
+	e.budgetChanged()
 	if st.openFrac != 1 {
 		last := &e.cfg.BudgetFaults[len(e.cfg.BudgetFaults)-1]
 		if frac == st.openFrac && t0 == last.End {
@@ -218,11 +191,10 @@ func (st *Stream) Advance(until float64) error {
 	}
 	if !st.drained {
 		for {
-			top, ok := e.events.Peek()
-			if !ok || top.Time >= until {
+			it, ok := e.nextEvent(until)
+			if !ok {
 				break
 			}
-			it, _ := e.events.Pop()
 			stop, err := e.processEvent(it)
 			if err != nil {
 				return err
@@ -283,6 +255,7 @@ func (st *Stream) pruneBudget() {
 	}
 	n := copy(appended, appended[drop:])
 	e.cfg.BudgetFaults = e.cfg.BudgetFaults[:st.baseWindows+n]
+	e.budgetChanged()
 }
 
 // Finish drains the engine to completion and returns the aggregate result:
@@ -294,7 +267,7 @@ func (st *Stream) Finish() (Result, error) {
 	if st.fed == 0 {
 		return e.result(0, 0), nil
 	}
-	if !st.drained && e.undeparted+e.pendingArrivals > 0 {
+	if !st.drained && e.undeparted+e.pendingArrivals() > 0 {
 		return e.run()
 	}
 	last := e.lastDeparture
