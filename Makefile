@@ -55,6 +55,9 @@ report:
 # Override FUZZTIME for a quick smoke run: make fuzz FUZZTIME=5s
 fuzz:
 	$(GO) test -fuzz=FuzzWaterLevel -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -fuzz=FuzzBisect -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -fuzz=FuzzDecodeStreamSnapshot -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzLoadJobs -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -fuzz=FuzzWriteSSE -fuzztime=$(FUZZTIME) ./internal/httpapi

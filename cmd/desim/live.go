@@ -171,8 +171,8 @@ func ledgerClasses(classes []dessched.ClassResult) []dessched.LedgerClassMetric 
 	return out
 }
 
-// clusterLedgerEntry assembles the shared cluster-run manifest; callers
-// stamp Cmd-specific fields (flight dumps, notes) before appending.
+// clusterLedgerEntry assembles a fleet run's manifest; the caller stamps
+// the flight-dump count before appending.
 func clusterLedgerEntry(fl simInstrumentFlags, ccfg dessched.ClusterConfig,
 	horizon float64, res dessched.ClusterResult) dessched.LedgerEntry {
 	budget := ccfg.GlobalBudget
@@ -232,18 +232,19 @@ func clusterSpec(policy, arch string, wf bool) (string, error) {
 	return "", fmt.Errorf("unknown policy %q", policy)
 }
 
-// runClusterStream is cmdSim's -stream path: the fleet runs over a lazy
-// arrival source in bounded memory (docs/SCALE.md). The bounded
-// instrumentation surface — live ticker, epoch series, merged telemetry —
-// still applies; span and schedule traces grow with the run and were
-// rejected upstream. Checkpointing uses streamed snapshots (per-engine
-// state + arrival cursor) instead of the batch completed-server images.
-func runClusterStream(servers int, spec string, cfg dessched.ServerConfig,
-	src dessched.JobSource, dispatch dessched.DispatchPolicy, classes []string,
-	globalBudget float64,
-	chaosSeed uint64, horizon float64, hedge dessched.HedgeConfig,
+// runClusterSim is cmdSim's -servers > 1 path: one fleet run over src
+// with the full instrumentation surface — live ticker, span trace, epoch
+// series, merged telemetry, flight dumps, and a cluster-trace bundle for
+// destrace — plus the recovery stack (hedged dispatch, epoch-snapshot
+// checkpoint/resume). The probes that grow with the run (-trace,
+// -perfetto, an unsampled -spans) need a materialized job slice as src
+// (dessched.NewSliceJobSource); cmdSim materializes only for those.
+func runClusterSim(servers int, spec string, cfg dessched.ServerConfig,
+	src dessched.JobSource, horizon float64, dispatch dessched.DispatchPolicy,
+	classes []string, globalBudget float64,
+	chaosSeed uint64, hedge dessched.HedgeConfig,
 	checkpointOut, resumeIn string, checkpointEvery float64,
-	fl simInstrumentFlags, telemetryOut string) error {
+	fl simInstrumentFlags, traceOut, perfettoOut, telemetryOut string) error {
 
 	ccfg := dessched.ClusterConfig{
 		Servers:      servers,
@@ -259,8 +260,6 @@ func runClusterStream(servers int, spec string, cfg dessched.ServerConfig,
 	ins := &dessched.ClusterInstrument{}
 	var tracer *dessched.SpanTracer
 	if fl.wantSpans() {
-		// Upstream validation guaranteed -spans-sample > 0: only a sampling
-		// tracer keeps a streamed run's span memory bounded.
 		tracer = newSimTracer(fl.spansSample, fl.seed)
 		ins.Tracer = tracer
 	}
@@ -282,16 +281,20 @@ func runClusterStream(servers int, spec string, cfg dessched.ServerConfig,
 		flightRec = dessched.NewFlightRecorder(dessched.FlightConfig{})
 		ins.Flight = flightRec
 	}
-	if ins.Series != nil || ins.Registry != nil || ins.Tracer != nil || ins.Flight != nil {
+	ins.Traces = traceOut != "" || perfettoOut != ""
+	// Checkpointing is incompatible with instrumentation (telemetry state
+	// is not captured in snapshots), so only attach the sinks when
+	// something asked for them.
+	if ins.Tracer != nil || ins.Series != nil || ins.Registry != nil || ins.Flight != nil || ins.Traces {
 		if checkpointOut != "" || resumeIn != "" {
-			return fmt.Errorf("cluster -checkpoint/-resume cannot be combined with -telemetry/-series/-live/-spans/-flight")
+			return fmt.Errorf("cluster -checkpoint/-resume cannot be combined with -trace/-perfetto/-telemetry/-spans/-series/-live/-flight")
 		}
 		ccfg.Instrument = ins
 	}
 
 	snapshots := 0
 	if checkpointOut != "" {
-		// -checkpoint-every is simulated seconds; streamed snapshots land on
+		// -checkpoint-every is simulated seconds; fleet snapshots land on
 		// dispatch-epoch boundaries, so convert and round down (min 1 epoch).
 		epoch := fl.epoch
 		if epoch <= 0 {
@@ -345,168 +348,10 @@ func runClusterStream(servers int, spec string, cfg dessched.ServerConfig,
 	if checkpointOut != "" {
 		statusLog.Info("checkpoint", "snapshots", snapshots, "path", checkpointOut)
 	}
-
-	fmt.Printf("cluster (streamed): %d × %s servers, dispatch %s, global budget %.0f W\n",
-		res.Servers, spec, res.Dispatch, globalBudget)
-	fmt.Printf("quality %.2f / %.2f (norm %.4f), energy %.1f J, peak-power sum %.1f W\n",
-		res.Quality, res.MaxQuality, res.NormQuality, res.Energy, res.PeakPowerSum)
-	fmt.Printf("arrived %d, completed %d, deadlined %d, shed %d, span %.2f s\n",
-		res.Arrived, res.Completed, res.Deadlined, res.Shed, res.Span)
-	if res.Retried > 0 || res.Abandoned > 0 || res.Hedged > 0 {
-		fmt.Printf("recovered: retried %d, abandoned %d, retry quality %.3f, hedged %d (wins %d, %+.3f quality)\n",
-			res.Retried, res.Abandoned, res.RetryQuality, res.Hedged, res.HedgeWins, res.HedgeQuality)
-	}
 	if wall > 0 {
-		fmt.Printf("stream: %d jobs, %d events in %.1f s wall (%.0f events/s), peak RSS %.0f MiB\n",
-			res.Arrived, res.Events, wall, float64(res.Events)/wall, float64(peakRSSBytes())/(1<<20))
-	}
-	// A thousand-server fleet would print a thousand share lines; keep the
-	// per-server breakdown to small fleets.
-	if len(res.PerServer) <= 16 {
-		for _, sr := range res.PerServer {
-			fmt.Printf("  server %2d: %4d jobs, share %6.1f W, norm quality %.4f, energy %8.1f J\n",
-				sr.Server, sr.Jobs, sr.BudgetShareW, sr.Result.NormQuality, sr.Result.Energy)
-		}
-	}
-	printClassResults(res.Classes)
-
-	if tracer != nil {
-		if err := writeSpanFiles(fl.spansOut, fl.spansPerfetto, tracer); err != nil {
-			return err
-		}
-	}
-	if flightRec != nil {
-		if err := writeFlightFile(fl.flightOut, flightRec, res.Span); err != nil {
-			return err
-		}
-	}
-	if fl.seriesOut != "" {
-		if err := writeSeriesFile(fl.seriesOut, rec); err != nil {
-			return err
-		}
-	}
-	if reg != nil {
-		f, err := os.Create(telemetryOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := telemetry.WritePrometheus(f, reg.Snapshot()); err != nil {
-			return err
-		}
-		statusLog.Info("telemetry written", "path", telemetryOut)
-	}
-	if fl.ledgerPath != "" {
-		e := clusterLedgerEntry(fl, ccfg, horizon, res)
-		e.Note = "streamed"
-		if flightRec != nil {
-			e.FlightDumps = len(flightRec.Dumps())
-		}
-		if err := recordLedger(fl.ledgerPath, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runClusterSim is cmdSim's -servers > 1 path: one fleet run with the
-// full instrumentation surface — live ticker, span trace, epoch series,
-// merged telemetry, and a cluster-trace bundle for destrace — plus the
-// recovery stack (hedged dispatch, completed-server checkpoint/resume).
-func runClusterSim(servers int, spec string, cfg dessched.ServerConfig,
-	jobs []dessched.Job, horizon float64, dispatch dessched.DispatchPolicy,
-	classes []string, globalBudget float64,
-	chaosSeed uint64, hedge dessched.HedgeConfig, checkpointOut, resumeIn string,
-	fl simInstrumentFlags, traceOut, perfettoOut, telemetryOut string) error {
-
-	ccfg := dessched.ClusterConfig{
-		Servers:      servers,
-		Server:       cfg,
-		Policy:       spec,
-		Dispatch:     dispatch,
-		Classes:      classes,
-		GlobalBudget: globalBudget,
-		Epoch:        fl.epoch,
-		Hedge:        hedge,
-	}
-
-	ins := &dessched.ClusterInstrument{}
-	var tracer *dessched.SpanTracer
-	if fl.wantSpans() {
-		tracer = newSimTracer(fl.spansSample, fl.seed)
-		ins.Tracer = tracer
-	}
-	var rec *dessched.SeriesRecorder
-	if fl.wantSeries() {
-		rec = dessched.NewSeriesRecorder(0)
-		if fl.live {
-			rec.OnSample = liveTicker(os.Stdout)
-		}
-		ins.Series = rec
-	}
-	var reg *dessched.MetricsRegistry
-	if telemetryOut != "" {
-		reg = dessched.NewMetricsRegistry()
-		ins.Registry = reg
-	}
-	var flightRec *dessched.FlightRecorder
-	if fl.flightOut != "" {
-		flightRec = dessched.NewFlightRecorder(dessched.FlightConfig{})
-		ins.Flight = flightRec
-	}
-	ins.Traces = traceOut != "" || perfettoOut != ""
-	// Checkpointing is incompatible with instrumentation (completed-server
-	// telemetry cannot be replayed on resume), so only attach the sinks
-	// when something asked for them.
-	if fl.wantSpans() || fl.wantSeries() || telemetryOut != "" || ins.Traces || ins.Flight != nil {
-		if checkpointOut != "" || resumeIn != "" {
-			return fmt.Errorf("cluster -checkpoint/-resume cannot be combined with -trace/-perfetto/-telemetry/-spans/-series/-live/-flight")
-		}
-		ccfg.Instrument = ins
-	}
-
-	snapshots := 0
-	if checkpointOut != "" {
-		ccfg.Checkpoint = &dessched.ClusterCheckpointConfig{
-			Sink: func(s *dessched.ClusterSnapshot) error {
-				b, err := dessched.EncodeClusterSnapshot(s)
-				if err != nil {
-					return err
-				}
-				snapshots++
-				return os.WriteFile(checkpointOut, b, 0o644)
-			},
-		}
-	}
-
-	if chaosSeed > 0 {
-		faults, err := dessched.ClusterChaosFaults(chaosSeed, horizon, servers, cfg.Cores)
-		if err != nil {
-			return err
-		}
-		ccfg.Faults = faults
-	}
-
-	var res dessched.ClusterResult
-	var err error
-	if resumeIn != "" {
-		b, err := os.ReadFile(resumeIn)
-		if err != nil {
-			return err
-		}
-		snap, err := dessched.DecodeClusterSnapshot(b)
-		if err != nil {
-			return err
-		}
-		statusLog.Info("resume", "servers_done", len(snap.Done), "servers", snap.Servers, "path", resumeIn)
-		if res, err = dessched.ResumeCluster(ccfg, jobs, snap); err != nil {
-			return err
-		}
-	} else if res, err = dessched.SimulateCluster(ccfg, jobs); err != nil {
-		return err
-	}
-	if checkpointOut != "" {
-		statusLog.Info("checkpoint", "snapshots", snapshots, "path", checkpointOut)
+		statusLog.Info("throughput", "jobs", res.Arrived, "events", res.Events,
+			"wall_s", fmt.Sprintf("%.1f", wall), "events_per_s", fmt.Sprintf("%.0f", float64(res.Events)/wall),
+			"peak_rss_mib", fmt.Sprintf("%.0f", float64(peakRSSBytes())/(1<<20)))
 	}
 
 	fmt.Printf("cluster: %d × %s servers, dispatch %s, global budget %.0f W\n",
@@ -519,13 +364,17 @@ func runClusterSim(servers int, spec string, cfg dessched.ServerConfig,
 		fmt.Printf("recovered: retried %d, abandoned %d, retry quality %.3f, hedged %d (wins %d, %+.3f quality)\n",
 			res.Retried, res.Abandoned, res.RetryQuality, res.Hedged, res.HedgeWins, res.HedgeQuality)
 	}
-	for _, sr := range res.PerServer {
-		fmt.Printf("  server %2d: %4d jobs, share %6.1f W, norm quality %.4f, energy %8.1f J\n",
-			sr.Server, sr.Jobs, sr.BudgetShareW, sr.Result.NormQuality, sr.Result.Energy)
+	// A thousand-server fleet would print a thousand share lines; keep the
+	// per-server breakdown to small fleets.
+	if len(res.PerServer) <= 16 {
+		for _, sr := range res.PerServer {
+			fmt.Printf("  server %2d: %4d jobs, share %6.1f W, norm quality %.4f, energy %8.1f J\n",
+				sr.Server, sr.Jobs, sr.BudgetShareW, sr.Result.NormQuality, sr.Result.Energy)
+		}
 	}
 	printClassResults(res.Classes)
 
-	if traceOut != "" || perfettoOut != "" {
+	if ins.Traces {
 		ct := &dessched.ClusterTraceFile{
 			Servers:   res.Servers,
 			Cores:     cfg.Cores,

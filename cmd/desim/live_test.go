@@ -96,7 +96,7 @@ func TestRunClusterSimOutputs(t *testing.T) {
 	spansOut := filepath.Join(dir, "spans.json")
 	seriesOut := filepath.Join(dir, "series.json")
 	fl := simInstrumentFlags{spansOut: spansOut, seriesOut: seriesOut, epoch: 1}
-	if err := runClusterSim(2, "des-c", cfg, jobs, wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", fl,
+	if err := runClusterSim(2, "des-c", cfg, dessched.NewSliceJobSource(jobs), wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", 0, fl,
 		traceOut, "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRunClusterSimOutputs(t *testing.T) {
 		}
 	}
 
-	if err := runClusterSim(2, "des-c", cfg, jobs, wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", fl, traceOut, "", ""); err != nil {
+	if err := runClusterSim(2, "des-c", cfg, dessched.NewSliceJobSource(jobs), wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", 0, fl, traceOut, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	b2, _ := os.ReadFile(spansOut)

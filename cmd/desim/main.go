@@ -113,11 +113,12 @@ sim flags: -policy des|fcfs|ljf|sjf|edf|prio-sjf|prio-edf  -arch c|s|no  -wf  -d
            -checkpoint file.json  -checkpoint-every s  -resume file.json
            -telemetry file.prom  -perfetto file.json
            -live  -epoch s  -spans file.json  -spans-perfetto file.json
-           -spans-sample f  (deterministic sampling tracer; required with -stream)
+           -spans-sample f  (deterministic sampling tracer; keeps fleets lazy)
            -series file.json|.csv  -flight file.json  -ledger file.jsonl
            -servers m  -dispatch rr|ll|hash|by-class  -global-budget W
            -hedge-window s  -hedge-limit n
-           (with -servers > 1, -trace/-perfetto write the cluster bundle)
+           (with -servers > 1, -trace/-perfetto write the cluster bundle;
+            fleets pull arrivals lazily unless -trace/-perfetto/unsampled -spans)
 chaos flags: -seed n  -rate r  -duration s  -cores m  -budget W  -arch c|s|no
              -workload spec.json  -core-faults n  -budget-faults n  -bursts n
              -outage-frac f  -mttr s  -retry-max n  -retry-backoff s
@@ -511,14 +512,13 @@ func cmdSim(args []string) error {
 	telemetryOut := fs.String("telemetry", "", "write a Prometheus-format metrics snapshot of the run to this file")
 	perfettoOut := fs.String("perfetto", "", "write the executed schedule as Perfetto/Chrome trace-event JSON to this file")
 	servers := fs.Int("servers", 1, "fleet size; > 1 runs the cluster path (dispatcher + hierarchical budget)")
-	stream := fs.Bool("stream", false, "pull arrivals lazily and run the cluster in bounded memory (with -servers > 1; see docs/SCALE.md)")
 	pf := registerPolicyFlags(fs, policyFlags{Order: "fcfs", Admission: "none", MaxQueue: 64, Dispatch: "rr"}, true)
 	globalBudget := fs.Float64("global-budget", 0, "global datacenter budget, W (0 = no hierarchy; with -servers > 1)")
 	live := fs.Bool("live", false, "render per-epoch samples as a terminal ticker while the run executes")
 	epoch := fs.Float64("epoch", 1, "epoch length for -live/-series sampling and cluster budget reflow, s")
 	spansOut := fs.String("spans", "", "write the hierarchical span trace as dessched-spans/v1 JSON to this file")
 	spansPerfetto := fs.String("spans-perfetto", "", "write the span trace as Perfetto/Chrome trace-event JSON to this file")
-	spansSample := fs.Float64("spans-sample", 0, "keep this fraction of hot per-event spans via the deterministic sampling tracer (0 = full trace; required with -stream -spans)")
+	spansSample := fs.Float64("spans-sample", 0, "keep this fraction of hot per-event spans via the deterministic sampling tracer (0 = full trace, which holds the fleet's jobs in memory)")
 	seriesOut := fs.String("series", "", "write per-epoch samples to this file (.csv for CSV, else JSON)")
 	flightOut := fs.String("flight", "", "arm the flight recorder and write tripped dumps as dessched-flight/v1 JSON to this file")
 	ledgerPath := fs.String("ledger", "", "append a dessched-run/v1 provenance manifest to this JSONL file (see `desim ledger`)")
@@ -614,48 +614,36 @@ func cmdSim(args []string) error {
 			horizon = wlSpec.Duration
 		}
 		hedge := dessched.HedgeConfig{Window: *hedgeWindow, Limit: *hedgeLimit}
-		if *stream {
-			if *traceOut != "" || *perfettoOut != "" {
-				return fmt.Errorf("-stream cannot record schedule traces (they grow with the run); drop -trace/-perfetto")
+		// Arrivals are pulled lazily, in memory bounded by the arrival
+		// window, unless an output grows with the run anyway: schedule
+		// traces and an unsampled span trace need the job slice (a CSV
+		// trace is one already).
+		materialize := *traceOut != "" || *perfettoOut != "" || (fl.wantSpans() && fl.spansSample <= 0)
+		var src dessched.JobSource
+		switch {
+		case wlJobs != nil && (wlSpec == nil || materialize):
+			src = dessched.NewSliceJobSource(wlJobs)
+		case wlSpec != nil:
+			if src, err = dessched.NewWorkloadSpecStream(wlSpec); err != nil {
+				return err
 			}
-			if fl.wantSpans() && fl.spansSample <= 0 {
-				return fmt.Errorf("-stream needs a sampling tracer for span output (full traces grow with the run); add -spans-sample (e.g. -spans-sample 0.01)")
-			}
-			var src dessched.JobSource
-			switch {
-			case wlSpec != nil:
-				if src, err = dessched.NewWorkloadSpecStream(wlSpec); err != nil {
-					return err
-				}
-			case wlJobs != nil:
-				src = dessched.NewSliceJobSource(wlJobs)
-			default:
-				wl := dessched.PaperWorkload(*rate)
-				wl.Duration = *duration
-				wl.Seed = *seed
-				wl.PartialFraction = *partial
-				if src, err = dessched.NewWorkloadStream(wl); err != nil {
-					return err
-				}
-			}
-			return runClusterStream(*servers, spec, cfg, src, d, classes, *globalBudget,
-				*chaosSeed, horizon, hedge, *checkpointOut, *resumeIn, *checkpointEvery, fl, *telemetryOut)
-		}
-		jobs := wlJobs
-		if jobs == nil {
+		default:
 			wl := dessched.PaperWorkload(*rate)
 			wl.Duration = *duration
 			wl.Seed = *seed
 			wl.PartialFraction = *partial
-			if jobs, err = dessched.GenerateWorkload(wl); err != nil {
+			if materialize {
+				jobs, err := dessched.GenerateWorkload(wl)
+				if err != nil {
+					return err
+				}
+				src = dessched.NewSliceJobSource(jobs)
+			} else if src, err = dessched.NewWorkloadStream(wl); err != nil {
 				return err
 			}
 		}
-		return runClusterSim(*servers, spec, cfg, jobs, horizon, d, classes, *globalBudget,
-			*chaosSeed, hedge, *checkpointOut, *resumeIn, fl, *traceOut, *perfettoOut, *telemetryOut)
-	}
-	if *stream {
-		return fmt.Errorf("-stream needs -servers > 1: the streamed pipeline is the cluster dispatch path")
+		return runClusterSim(*servers, spec, cfg, src, horizon, d, classes, *globalBudget,
+			*chaosSeed, hedge, *checkpointOut, *resumeIn, *checkpointEvery, fl, *traceOut, *perfettoOut, *telemetryOut)
 	}
 	if *hedgeWindow > 0 {
 		return fmt.Errorf("-hedge-window needs -servers > 1: hedging duplicates jobs across servers")

@@ -29,7 +29,6 @@ func cmdSweep(args []string) error {
 	globalFrac := fs.Float64("global-frac", 0, "global budget as a fraction of summed nominal budgets (0 = no hierarchy)")
 	epoch := fs.Float64("epoch", 0, "cluster budget-reflow epoch, s (0 = default)")
 	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS); never affects results")
-	stream := fs.Bool("stream", false, "run cluster cells through the bounded-memory streamed pipeline (needs -servers > 1)")
 	workloadFile := fs.String("workload", "", "declarative workload spec (.json); replaces -rates (the spec fixes per-class rates)")
 	telemetryOn := fs.Bool("telemetry", false, "attach a metrics snapshot to every cell (JSON output only)")
 	outJSON := fs.String("out", "", "write the JSON report to this file (\"-\" = stdout)")
@@ -101,7 +100,7 @@ func cmdSweep(args []string) error {
 			"policies", len(grid.Policies), "seeds", len(grid.Seeds))
 	}
 
-	rep, err := dessched.RunSweep(ctx, grid, dessched.SweepOptions{Workers: *workers, Telemetry: *telemetryOn, Stream: *stream})
+	rep, err := dessched.RunSweep(ctx, grid, dessched.SweepOptions{Workers: *workers, Telemetry: *telemetryOn})
 	if err != nil {
 		return err
 	}

@@ -1,57 +1,16 @@
 package cluster
 
 import (
-	"math"
-
 	"dessched/internal/dist"
-	"dessched/internal/job"
 	"dessched/internal/power"
 	"dessched/internal/sim"
 	"dessched/internal/stats"
 )
 
-// maxEpochs bounds the budget-reflow grid so a tiny Epoch over a long
-// horizon cannot blow up the per-server event count; beyond it the epoch
-// length is stretched to cover the horizon in exactly maxEpochs steps.
-const maxEpochs = 1 << 16
-
-// budgetSchedule is the outcome of the hierarchical water-filling stage:
-// per-server budget windows (expressed as sim.BudgetFault fractions of the
-// server's nominal budget) plus the time-averaged effective budget per
-// server for reporting.
-type budgetSchedule struct {
-	windows [][]sim.BudgetFault
-	shareW  []float64 // time-averaged effective budget, watts
-	horizon float64
-	epochs  []epochRecord // populated only when epochBudgets records
-}
-
-// epochRecord is one epoch's water-filling outcome, kept for span
-// tracing: the water level (highest per-server assignment), the global
-// budget actually committed, and what was left after the cap-bounded
-// second stage.
-type epochRecord struct {
-	index      int
-	start, end float64
-	waterLevel float64
-	usedW      float64
-	leftoverW  float64
-}
-
-// nominalSchedule is the no-global-constraint schedule: every server runs
-// at its nominal budget for the whole horizon.
-func nominalSchedule(servers int, nominal, horizon float64) budgetSchedule {
-	shares := make([]float64, servers)
-	for i := range shares {
-		shares[i] = nominal
-	}
-	return budgetSchedule{windows: make([][]sim.BudgetFault, servers), shareW: shares, horizon: horizon}
-}
-
-// epochBudgets partitions the global power budget into per-server budgets
-// for every tick-epoch of the horizon — the paper's water-filling policy
-// lifted one level up the hierarchy (§IV-C distributes a server's budget
-// over cores; this distributes the datacenter's budget over servers):
+// epochFiller partitions the global power budget into per-server budgets
+// one dispatch epoch at a time — the paper's water-filling policy lifted
+// one level up the hierarchy (§IV-C distributes a server's budget over
+// cores; this distributes the datacenter's budget over servers):
 //
 //  1. Each server requests the power it needs to clear the demand
 //     dispatched to it during the epoch (equal-split across its available
@@ -67,94 +26,12 @@ func nominalSchedule(servers int, nominal, horizon float64) budgetSchedule {
 //     availability caps, so a lightly loaded datacenter still lets every
 //     healthy server burst to its nominal budget.
 //
-// The per-epoch assignments are emitted as sim.BudgetFault windows with
-// Fraction = assigned/nominal (adjacent epochs with identical fractions
-// merge; full-budget epochs emit nothing), which the per-server engines
-// already honor — the fault layer's budget machinery doubles as the
-// hierarchy's enforcement mechanism. The whole computation is sequential
-// float arithmetic in fixed order: the same inputs always yield the same
-// schedule bit for bit.
-// When record is set, every epoch's water-filling outcome is kept in
-// budgetSchedule.epochs for span tracing.
-func epochBudgets(servers int, server sim.Config, globalBudget, epoch, headroom, horizon float64,
-	perServer [][]job.Job, outages [][][]interval, record bool) budgetSchedule {
-
-	nominal := server.Budget
-	if globalBudget <= 0 || horizon <= 0 {
-		return nominalSchedule(servers, nominal, horizon)
-	}
-	epochLen := epoch
-	n := int(math.Ceil(horizon / epochLen))
-	if n < 1 {
-		n = 1
-	}
-	if n > maxEpochs {
-		n = maxEpochs
-		epochLen = horizon / float64(n)
-	}
-
-	// Demand dispatched to each server per epoch, in processing units.
-	demand := make([][]float64, servers)
-	for s := range demand {
-		demand[s] = make([]float64, n)
-		for _, j := range perServer[s] {
-			e := int(j.Release / epochLen)
-			if e < 0 {
-				e = 0
-			}
-			if e >= n {
-				e = n - 1
-			}
-			demand[s][e] += j.Demand
-		}
-	}
-
-	f := newEpochFiller(servers, server, globalBudget, epochLen, headroom, outages, record)
-
-	windows := make([][]sim.BudgetFault, servers)
-	// openFrac tracks the fraction of the window being built per server;
-	// openStart its left edge. A fraction of exactly 1 means "no window".
-	openFrac := make([]float64, servers)
-	openStart := make([]float64, servers)
-	for s := range openFrac {
-		openFrac[s] = 1
-	}
-
-	flush := func(s int, frac, start, end float64) {
-		if frac < 1 && end > start {
-			windows[s] = append(windows[s], sim.BudgetFault{Start: start, End: end, Fraction: frac})
-		}
-	}
-
-	demandE := make([]float64, servers)
-	for e := 0; e < n; e++ {
-		t0 := float64(e) * epochLen
-		for s := 0; s < servers; s++ {
-			demandE[s] = demand[s][e]
-		}
-		assigned := f.fill(e, demandE)
-		for s := 0; s < servers; s++ {
-			frac := budgetFrac(assigned[s], nominal)
-			if frac != openFrac[s] {
-				flush(s, openFrac[s], openStart[s], t0)
-				openFrac[s] = frac
-				openStart[s] = t0
-			}
-		}
-	}
-	end := float64(n) * epochLen
-	for s := 0; s < servers; s++ {
-		flush(s, openFrac[s], openStart[s], end)
-	}
-	return budgetSchedule{windows: windows, shareW: f.finishShares(n), horizon: horizon, epochs: f.epochs}
-}
-
-// epochFiller runs the hierarchical water-fill one epoch at a time,
-// carrying the running per-server watt-second totals and (optionally) the
-// per-epoch records across calls. The batch epochBudgets and the streamed
-// cluster pipeline both fill through this type, so the per-server budget
-// fractions — sequential float arithmetic in fixed order — come out bit for
-// bit the same on either path.
+// The coordinator hands each assignment to its server's engine as a budget
+// fraction (assigned/nominal, see sim.Stream.ExtendBudget) — the fault
+// layer's budget machinery doubles as the hierarchy's enforcement
+// mechanism. The filler carries the running per-server watt-second totals
+// across calls; the computation is sequential float arithmetic in fixed
+// order, so the same inputs always yield the same budgets bit for bit.
 type epochFiller struct {
 	servers  int
 	server   sim.Config
@@ -163,7 +40,6 @@ type epochFiller struct {
 	epochLen float64
 	headroom float64
 	outages  [][][]interval
-	record   bool
 
 	filler   dist.Filler
 	scratch  []float64
@@ -172,13 +48,11 @@ type epochFiller struct {
 	assigned []float64
 	extra    []float64
 
-	shares []float64     // running watt-seconds per server
-	epochs []epochRecord // populated only when record is set
+	shares []float64 // running watt-seconds per server
 }
 
-// newEpochFiller prepares a filler for a fleet. epochLen must be the final
-// (maxEpochs-stretched, if applicable) epoch length.
-func newEpochFiller(servers int, server sim.Config, global, epochLen, headroom float64, outages [][][]interval, record bool) *epochFiller {
+// newEpochFiller prepares a filler for a fleet.
+func newEpochFiller(servers int, server sim.Config, global, epochLen, headroom float64, outages [][][]interval) *epochFiller {
 	return &epochFiller{
 		servers:  servers,
 		server:   server,
@@ -187,7 +61,6 @@ func newEpochFiller(servers int, server sim.Config, global, epochLen, headroom f
 		epochLen: epochLen,
 		headroom: headroom,
 		outages:  outages,
-		record:   record,
 		requests: make([]float64, servers),
 		caps:     make([]float64, servers),
 		shares:   make([]float64, servers),
@@ -242,20 +115,6 @@ func (f *epochFiller) fill(e int, demand []float64) []float64 {
 		for s := range f.assigned {
 			f.assigned[s] += f.extra[s]
 		}
-	}
-
-	if f.record {
-		level, total := 0.0, 0.0
-		for _, a := range f.assigned {
-			if a > level {
-				level = a
-			}
-			total += a
-		}
-		f.epochs = append(f.epochs, epochRecord{
-			index: e, start: t0, end: t1,
-			waterLevel: level, usedW: total, leftoverW: f.global - total,
-		})
 	}
 
 	for s := 0; s < f.servers; s++ {

@@ -26,7 +26,7 @@ func TestDispatchByClassPartitions(t *testing.T) {
 		jobs = append(jobs, classedJob(job.ID(i), float64(i)*0.01, class))
 	}
 	outages := make([][][]interval, 4)
-	_, assign, rerouted := dispatchJobs(ByClass, 4, 4, outages, []string{"a", "b"}, jobs)
+	assign, rerouted := routeAll(ByClass, 4, 4, outages, []string{"a", "b"}, jobs)
 	want := []int{0, 2, 1, 3, 0, 2, 1, 3} // a: 0,1,0,1… b: 2,3,2,3…
 	if !reflect.DeepEqual(assign, want) {
 		t.Errorf("by-class assignment %v, want %v", assign, want)
@@ -49,7 +49,7 @@ func TestDispatchByClassUnlistedSpills(t *testing.T) {
 		classedJob(4, 0.04, "stray"),
 	}
 	outages := make([][][]interval, 4)
-	_, assign, _ := dispatchJobs(ByClass, 4, 4, outages, []string{"a", "b"}, jobs)
+	assign, _ := routeAll(ByClass, 4, 4, outages, []string{"a", "b"}, jobs)
 	// Spills walk 0,1,2,3…; the lone "a" job pins to its partition start.
 	want := []int{0, 1, 2, 0, 3}
 	if !reflect.DeepEqual(assign, want) {
@@ -67,7 +67,7 @@ func TestDispatchByClassOutagedPartitionSpills(t *testing.T) {
 	outages := make([][][]interval, 4)
 	dark := [][]interval{{{0, 10}}, {{0, 10}}, {{0, 10}}, {{0, 10}}}
 	outages[0], outages[1] = dark, dark // partition "a" = servers 0,1
-	_, assign, rerouted := dispatchJobs(ByClass, 4, 4, outages, []string{"a", "b"}, jobs)
+	assign, rerouted := routeAll(ByClass, 4, 4, outages, []string{"a", "b"}, jobs)
 	for i, s := range assign {
 		if s != 2 && s != 3 {
 			t.Errorf("job %d routed to dark server %d", i, s)
@@ -78,11 +78,10 @@ func TestDispatchByClassOutagedPartitionSpills(t *testing.T) {
 	}
 }
 
-// twoClassJobs compiles a bimodal interactive/batch stream for the
-// by-class identity tests.
-func twoClassJobs(t *testing.T) []job.Job {
-	t.Helper()
-	spec := &workloadspec.Spec{
+// twoClassSpec is a bimodal interactive/batch workload for the by-class
+// identity tests.
+func twoClassSpec() *workloadspec.Spec {
+	return &workloadspec.Spec{
 		Schema:   workloadspec.SchemaV1,
 		Name:     "byclass-two-class",
 		Duration: 2,
@@ -94,17 +93,22 @@ func twoClassJobs(t *testing.T) []job.Job {
 				Demand: workloadspec.DemandSpec{Dist: "uniform", Min: 200, Max: 800}},
 		},
 	}
-	jobs, err := workloadspec.Compile(spec)
+}
+
+// twoClassJobs compiles twoClassSpec.
+func twoClassJobs(t *testing.T) []job.Job {
+	t.Helper()
+	jobs, err := workloadspec.Compile(twoClassSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return jobs
 }
 
-// TestByClassStreamMatchesRunAcrossOrders pins the tentpole composition
-// guarantee: by-class dispatch plus every ready-queue discipline produces
-// bit-identical results between the batch path and the streamed pipeline,
-// for any worker count.
+// TestByClassStreamMatchesRunAcrossOrders pins the composition guarantee:
+// by-class dispatch plus every ready-queue discipline produces
+// bit-identical results whether the fleet is fed the compiled job slice or
+// the spec's lazy stream, for any worker count.
 func TestByClassStreamMatchesRunAcrossOrders(t *testing.T) {
 	jobs := twoClassJobs(t)
 	orders := []sim.QueueOrder{sim.OrderFCFS, sim.OrderSJF, sim.OrderEDF, sim.OrderPrioSJF, sim.OrderPrioEDF}
@@ -124,17 +128,21 @@ func TestByClassStreamMatchesRunAcrossOrders(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(want.Classes) == 0 {
-				t.Fatal("batch run lost the class breakdown")
+				t.Fatal("run lost the class breakdown")
 			}
 			for _, workers := range []int{1, 4, 16} {
 				cfg := cfg
 				cfg.Workers = workers
-				got, err := RunStream(cfg, job.NewSliceSource(jobs))
+				src, err := workloadspec.NewStream(twoClassSpec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunStream(cfg, src)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				if !reflect.DeepEqual(normalizeStream(got), normalizeStream(want)) {
-					t.Fatalf("workers=%d: streamed by-class result diverged from batch", workers)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: by-class result over the lazy stream diverged from the job slice", workers)
 				}
 			}
 		})

@@ -6,61 +6,67 @@ import (
 	"sort"
 
 	"dessched/internal/cfgerr"
-	"dessched/internal/job"
 	"dessched/internal/sim"
 )
 
-// SnapshotKind discriminates a cluster snapshot from a single-server one
-// inside the shared dessched-checkpoint/v1 envelope.
-const SnapshotKind = "cluster"
+// StreamSnapshotKind discriminates a cluster snapshot inside the shared
+// dessched-checkpoint/v1 envelope.
+const StreamSnapshotKind = "cluster-stream"
 
-// CheckpointConfig enables cluster-level checkpointing. The natural
-// checkpoint granularity of a cluster run is a completed server: per-server
-// simulations are independent seeded runs, so a snapshot is simply the set
-// of finished servers' results, and Resume re-runs only the servers the
-// snapshot is missing. The Sink is called once after every server finishes
-// (serialized — it never runs concurrently with itself), with a snapshot
-// covering every server completed so far.
-//
-// Checkpointing cannot be combined with Instrument: spans, series, and
-// metrics for an already-completed server cannot be replayed on resume, so
-// Validate rejects the pair with a typed error.
-type CheckpointConfig struct {
+// StreamCheckpointConfig enables epoch-boundary checkpointing: after every
+// Every completed dispatch epochs the Sink receives a StreamSnapshot of
+// the whole fleet's in-flight state. ResumeStream continues from a
+// snapshot by replaying the already-consumed arrival prefix through the
+// (cheap, engine-free) ingest stage to rebuild the coordinator, then
+// restoring every server engine.
+type StreamCheckpointConfig struct {
+	// Every is the checkpoint cadence in dispatch epochs (required > 0).
+	Every int
+
 	// Sink receives each snapshot. An error aborts the run (the crash
-	// model) and is returned from Run.
-	Sink func(*Snapshot) error
+	// model) and is returned from the run.
+	Sink func(*StreamSnapshot) error
 }
 
 // Validate reports configuration errors as typed *cfgerr.Error values.
-func (c *CheckpointConfig) Validate() error {
+func (c *StreamCheckpointConfig) Validate() error {
+	if c.Every <= 0 {
+		return cfgerr.New("cluster", "stream_checkpoint", "cluster: stream checkpoint cadence must be positive epochs, got %d", c.Every)
+	}
 	if c.Sink == nil {
-		return cfgerr.New("cluster", "checkpoint", "cluster: checkpoint needs a sink")
+		return cfgerr.New("cluster", "stream_checkpoint", "cluster: stream checkpoint needs a sink")
 	}
 	return nil
 }
 
-// Snapshot is a resumable image of a partially completed cluster run:
-// which servers have finished and their full results. Dispatch, hedging,
-// and the budget hierarchy are deterministic recomputations, so they are
-// not stored — the fingerprint pins the configuration and workload they
-// are recomputed from.
-type Snapshot struct {
-	Version     string           `json:"version"`
-	Kind        string           `json:"kind"`
-	Fingerprint uint64           `json:"fingerprint"`
-	Servers     int              `json:"servers"`
-	Done        []ServerSnapshot `json:"done"`
+// StreamSnapshot is a resumable image of a cluster run at a dispatch-epoch
+// boundary. The coordinator's routing, hedging, and budget state are
+// deterministic recomputations from the arrival prefix, so they are not
+// stored: the config fingerprint pins the configuration, and (JobsFed,
+// JobsHash) pin the prefix — ResumeStream replays it from the source and
+// verifies both. Only the per-server engine states and the
+// already-departed hedge replica outcomes are carried.
+type StreamSnapshot struct {
+	Version     string `json:"version"`
+	Kind        string `json:"kind"`
+	Fingerprint uint64 `json:"fingerprint"` // fingerprintClusterConfig (no workload)
+	Servers     int    `json:"servers"`
+	Epoch       int    `json:"epoch"`     // completed dispatch epochs
+	JobsFed     int    `json:"jobs_fed"`  // arrivals consumed from the source
+	JobsHash    uint64 `json:"jobs_hash"` // rolling FNV over the consumed arrivals
+
+	// Captured holds, per server, the hedged replica outcomes that already
+	// departed (sorted by job ID); replicas still in flight are re-captured
+	// after resume. Only Quality, DepartAt, and Reason are meaningful.
+	Captured [][]sim.JobOutcome `json:"captured,omitempty"`
+
+	// PerServer is each server engine's streamed sim snapshot.
+	PerServer []*sim.Snapshot `json:"per_server"`
 }
 
-// ServerSnapshot is one finished server's result.
-type ServerSnapshot struct {
-	Server int        `json:"server"`
-	Result sim.Result `json:"result"`
-}
-
-// EncodeSnapshot serializes a cluster snapshot. JSON round-trips float64
-// exactly, so a decoded snapshot resumes bit-identically.
-func EncodeSnapshot(s *Snapshot) ([]byte, error) {
+// EncodeStreamSnapshot serializes a cluster snapshot. JSON round-trips
+// float64 exactly, so a decoded snapshot resumes bit-identically.
+func EncodeStreamSnapshot(s *StreamSnapshot) ([]byte, error) {
 	if s == nil {
 		return nil, cfgerr.New("cluster", "snapshot", "cluster: nil snapshot")
 	}
@@ -71,10 +77,10 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeSnapshot parses and structurally validates a cluster snapshot.
-// Malformed input yields a typed *cfgerr.Error, never a panic.
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	var s Snapshot
+// DecodeStreamSnapshot parses and structurally validates a cluster
+// snapshot. Malformed input yields a typed *cfgerr.Error, never a panic.
+func DecodeStreamSnapshot(b []byte) (*StreamSnapshot, error) {
+	var s StreamSnapshot
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, cfgerr.New("cluster", "snapshot", "cluster: decode snapshot: %v", err)
 	}
@@ -84,92 +90,90 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return &s, nil
 }
 
-func (s *Snapshot) validate() error {
+func (s *StreamSnapshot) validate() error {
 	if s.Version != sim.SnapshotVersion {
 		return cfgerr.New("cluster", "snapshot", "cluster: snapshot version %q, want %q", s.Version, sim.SnapshotVersion)
 	}
-	if s.Kind != SnapshotKind {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot kind %q, want %q", s.Kind, SnapshotKind)
+	if s.Kind != StreamSnapshotKind {
+		return cfgerr.New("cluster", "snapshot", "cluster: snapshot kind %q, want %q", s.Kind, StreamSnapshotKind)
 	}
 	if s.Servers <= 0 {
 		return cfgerr.New("cluster", "snapshot", "cluster: snapshot has %d servers", s.Servers)
 	}
-	seen := make(map[int]bool, len(s.Done))
-	for _, d := range s.Done {
-		if d.Server < 0 || d.Server >= s.Servers {
-			return cfgerr.New("cluster", "snapshot", "cluster: snapshot result for server %d of %d", d.Server, s.Servers)
+	if s.Epoch < 0 || s.Epoch > MaxEpochs {
+		return cfgerr.New("cluster", "snapshot", "cluster: snapshot at epoch %d, outside [0, %d]", s.Epoch, MaxEpochs)
+	}
+	if len(s.PerServer) != s.Servers {
+		return cfgerr.New("cluster", "snapshot", "cluster: snapshot holds %d engine states for %d servers", len(s.PerServer), s.Servers)
+	}
+	for i, ps := range s.PerServer {
+		if ps == nil {
+			return cfgerr.New("cluster", "snapshot", "cluster: snapshot engine state for server %d is missing", i)
 		}
-		if seen[d.Server] {
-			return cfgerr.New("cluster", "snapshot", "cluster: snapshot holds server %d twice", d.Server)
-		}
-		seen[d.Server] = true
+	}
+	if len(s.Captured) != 0 && len(s.Captured) != s.Servers {
+		return cfgerr.New("cluster", "snapshot", "cluster: snapshot holds captured outcomes for %d servers, want 0 or %d", len(s.Captured), s.Servers)
 	}
 	return nil
 }
 
-// Resume continues a checkpointed cluster run: servers present in the
-// snapshot keep their recorded results, the rest are simulated, and the
-// aggregate is rebuilt exactly as an uninterrupted Run would have built it.
-// The snapshot must have been taken under the same configuration and job
-// stream — Resume verifies the fingerprint and rejects mismatches with a
-// typed error.
-func Resume(cfg Config, jobs []job.Job, snap *Snapshot) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+// checkRestored cross-checks server s's engine state against the replayed
+// arrival prefix: the engine must have been fed exactly the jobs the
+// coordinator routed to it, none with a deadline past the prefix's.
+func (c *coordinator) checkRestored(s int, ps *sim.Snapshot) error {
+	if ps.Stream == nil || ps.Stream.Fed != c.jobs[s] {
+		return cfgerr.New("cluster", "snapshot", "cluster: server %d's engine state does not match the %d jobs the checkpointed prefix routed to it", s, c.jobs[s])
 	}
-	if err := job.ValidateAllByClass(jobs); err != nil {
-		return Result{}, err
-	}
-	if snap == nil {
-		return Result{}, cfgerr.New("cluster", "snapshot", "cluster: nil snapshot")
-	}
-	if err := snap.validate(); err != nil {
-		return Result{}, err
-	}
-	if snap.Servers != cfg.Servers {
-		return Result{}, cfgerr.New("cluster", "snapshot", "cluster: snapshot covers %d servers, config has %d", snap.Servers, cfg.Servers)
-	}
-	if cfg.Instrument != nil {
-		return Result{}, cfgerr.New("cluster", "snapshot", "cluster: resume cannot carry Instrument; completed-server telemetry cannot be replayed")
-	}
-	if got, want := fingerprintCluster(cfg, jobs), snap.Fingerprint; got != want {
-		return Result{}, cfgerr.New("cluster", "snapshot",
-			"cluster: snapshot fingerprint %#x does not match the configuration (%#x) — config, policy, faults, or workload changed", want, got)
-	}
-	return run(cfg, jobs, snap.Done)
-}
-
-// fingerprintCluster hashes everything the dispatch, hedging, and budget
-// stages recompute on resume: fleet shape, policy, physics scalars, fault
-// schedules, retry/hedge knobs, and the workload itself. Two runs with the
-// same fingerprint recompute identical per-server substreams and budget
-// windows, so completed-server results are interchangeable between them.
-func fingerprintCluster(cfg Config, jobs []job.Job) uint64 {
-	sorted := append([]job.Job(nil), jobs...)
-	job.SortByRelease(sorted)
-	jobs = sorted
-
-	var f fnvCluster
-	f.init()
-	hashClusterConfig(&f, cfg)
-	f.u64(uint64(len(jobs)))
-	for _, j := range jobs {
-		f.u64(uint64(j.ID))
-		f.f64(j.Release)
-		f.f64(j.Deadline)
-		f.f64(j.Demand)
-		f.b(j.Partial)
-		if j.Class != "" {
-			f.str(j.Class)
+	for _, j := range ps.Jobs {
+		if !(j.Deadline <= c.horizon) {
+			return cfgerr.New("cluster", "snapshot", "cluster: server %d's engine holds job %d with deadline %g past the checkpointed arrivals' horizon %g", s, j.ID, j.Deadline, c.horizon)
 		}
 	}
-	return f.h
+	return nil
 }
 
-// fingerprintClusterConfig is the configuration-only fingerprint used by
-// streamed snapshots: the workload cannot be hashed up front (it is pulled
-// lazily), so stream snapshots pin the config here and verify the arrival
-// prefix separately with a rolling hash (StreamSnapshot.JobsHash).
+// snapshot captures the run at a completed-epoch boundary.
+func (c *coordinator) snapshot(streams []*sim.Stream, epoch int) (*StreamSnapshot, error) {
+	per := make([]*sim.Snapshot, len(streams))
+	for s, st := range streams {
+		snap, err := st.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		per[s] = snap
+	}
+	var captured [][]sim.JobOutcome
+	if c.hedging {
+		captured = make([][]sim.JobOutcome, len(streams))
+		for s := range c.captured {
+			if len(c.captured[s]) == 0 {
+				continue
+			}
+			outs := make([]sim.JobOutcome, 0, len(c.captured[s]))
+			for _, o := range c.captured[s] {
+				outs = append(outs, o)
+			}
+			sort.Slice(outs, func(a, b int) bool { return outs[a].ID < outs[b].ID })
+			captured[s] = outs
+		}
+	}
+	return &StreamSnapshot{
+		Version:     sim.SnapshotVersion,
+		Kind:        StreamSnapshotKind,
+		Fingerprint: fingerprintClusterConfig(c.cfg),
+		Servers:     c.cfg.Servers,
+		Epoch:       epoch,
+		JobsFed:     c.fed,
+		JobsHash:    c.hash.h,
+		Captured:    captured,
+		PerServer:   per,
+	}, nil
+}
+
+// fingerprintClusterConfig is the configuration fingerprint snapshots
+// carry: the workload cannot be hashed up front (it is pulled lazily), so
+// snapshots pin the config here and verify the arrival prefix separately
+// with a rolling hash (StreamSnapshot.JobsHash).
 func fingerprintClusterConfig(cfg Config) uint64 {
 	var f fnvCluster
 	f.init()

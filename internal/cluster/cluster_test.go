@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 	"dessched/internal/sim"
 	"dessched/internal/workload"
@@ -18,6 +21,18 @@ func testConfig(servers int) Config {
 		Server:  server,
 		Policy:  "des",
 	}
+}
+
+// routeAll runs a release-sorted job slice through a fresh dispatcher,
+// returning each job's server and reroute flag.
+func routeAll(d Dispatch, servers, cores int, outages [][][]interval, classes []string, jobs []job.Job) (assign []int, rerouted []bool) {
+	dp := newDispatcher(d, servers, cores, outages, classes)
+	for _, j := range jobs {
+		s, moved := dp.route(j)
+		assign = append(assign, s)
+		rerouted = append(rerouted, moved)
+	}
+	return assign, rerouted
 }
 
 func testJobs(t *testing.T, rate, duration float64) []job.Job {
@@ -302,7 +317,7 @@ func TestDispatchRoundRobinCumulative(t *testing.T) {
 		{ID: 2, Release: 0.2, Deadline: 1.2, Demand: 1},
 		{ID: 3, Release: 0.3, Deadline: 1.3, Demand: 1},
 	}
-	_, assign, _ := dispatchJobs(RoundRobin, 3, 1, make([][][]interval, 3), nil, jobs)
+	assign, _ := routeAll(RoundRobin, 3, 1, make([][][]interval, 3), nil, jobs)
 	want := []int{0, 1, 2, 0}
 	for i := range want {
 		if assign[i] != want[i] {
@@ -318,7 +333,7 @@ func TestDispatchSkipsDownServers(t *testing.T) {
 	}
 	outages := make([][][]interval, 2)
 	outages[0] = [][]interval{{{start: 0, end: 2}}} // server 0: 1 core, dark
-	_, assign, _ := dispatchJobs(RoundRobin, 2, 1, outages, nil, jobs)
+	assign, _ := routeAll(RoundRobin, 2, 1, outages, nil, jobs)
 	for i, s := range assign {
 		if s != 1 {
 			t.Errorf("job %d routed to down server (got %d)", i, s)
@@ -334,7 +349,7 @@ func TestDispatchLeastLoadedBalancesDemand(t *testing.T) {
 		{ID: 1, Release: 0.1, Deadline: 10.1, Demand: 1},
 		{ID: 2, Release: 0.2, Deadline: 10.2, Demand: 1},
 	}
-	_, assign, _ := dispatchJobs(LeastLoaded, 2, 1, make([][][]interval, 2), nil, jobs)
+	assign, _ := routeAll(LeastLoaded, 2, 1, make([][][]interval, 2), nil, jobs)
 	if assign[0] != 0 {
 		t.Fatalf("first job -> server %d, want 0 (tie breaks low)", assign[0])
 	}
@@ -348,85 +363,103 @@ func TestDispatchHashSticky(t *testing.T) {
 		{ID: 77, Release: 0, Deadline: 1, Demand: 1},
 		{ID: 77, Release: 5, Deadline: 6, Demand: 1},
 	}
-	_, assign, _ := dispatchJobs(Hash, 8, 1, make([][][]interval, 8), nil, jobs)
+	assign, _ := routeAll(Hash, 8, 1, make([][][]interval, 8), nil, jobs)
 	if assign[0] != assign[1] {
 		t.Errorf("same ID hashed to different servers: %d vs %d", assign[0], assign[1])
 	}
 }
 
+// budgetRun runs jobs with executed-schedule traces on, so the result
+// carries every server's merged budget windows.
+func budgetRun(t *testing.T, cfg Config, jobs []job.Job) Result {
+	t.Helper()
+	cfg.Instrument = &Instrument{Traces: true}
+	res, err := Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.BudgetWindows) != cfg.Servers {
+		t.Fatalf("%d budget-window lists for %d servers", len(res.BudgetWindows), cfg.Servers)
+	}
+	return res
+}
+
 func TestEpochBudgetsAmpleBudgetNoWindows(t *testing.T) {
-	server := sim.PaperConfig()
-	server.Cores = 4
-	server.Budget = 80
 	// Global budget covers every server's nominal: no throttling windows.
-	sched := epochBudgets(3, server, 3*80, 1, 1.25, 10, make([][]job.Job, 3), make([][][]interval, 3), false)
-	for s, ws := range sched.windows {
+	cfg := testConfig(3)
+	cfg.GlobalBudget = 3 * 80
+	res := budgetRun(t, cfg, testJobs(t, 30, 10))
+	for s, ws := range res.BudgetWindows {
 		if len(ws) != 0 {
 			t.Errorf("server %d got %d throttle windows under ample budget", s, len(ws))
 		}
-		if math.Abs(sched.shareW[s]-80) > 1e-9 {
-			t.Errorf("server %d share = %g, want 80", s, sched.shareW[s])
+		if share := res.PerServer[s].BudgetShareW; math.Abs(share-80) > 1e-9 {
+			t.Errorf("server %d share = %g, want 80", s, share)
 		}
 	}
 }
 
 func TestEpochBudgetsScarceBudgetThrottles(t *testing.T) {
-	server := sim.PaperConfig()
-	server.Cores = 4
-	server.Budget = 80
 	// Half the fleet's nominal: everyone must be throttled below 1.
-	sched := epochBudgets(4, server, 0.5*4*80, 1, 1.25, 10, make([][]job.Job, 4), make([][][]interval, 4), false)
+	cfg := testConfig(4)
+	cfg.GlobalBudget = 0.5 * 4 * 80
+	res := budgetRun(t, cfg, testJobs(t, 60, 10))
 	sum := 0.0
-	for s := range sched.shareW {
-		sum += sched.shareW[s]
-		if len(sched.windows[s]) == 0 {
+	for s, ws := range res.BudgetWindows {
+		sum += res.PerServer[s].BudgetShareW
+		if len(ws) == 0 {
 			t.Errorf("server %d unthrottled under 50%% budget", s)
 		}
-		for _, w := range sched.windows[s] {
+		for _, w := range ws {
 			if w.Fraction >= 1 || w.Fraction < 0 {
 				t.Errorf("server %d window fraction %g out of range", s, w.Fraction)
 			}
 		}
 	}
-	if sum > 0.5*4*80+1e-6 {
-		t.Errorf("assigned %g W total, global budget is %g W", sum, 0.5*4*80)
+	if sum > cfg.GlobalBudget+1e-6 {
+		t.Errorf("assigned %g W total, global budget is %g W", sum, cfg.GlobalBudget)
 	}
 }
 
 func TestEpochBudgetsFollowDemand(t *testing.T) {
-	server := sim.PaperConfig()
-	server.Cores = 4
-	server.Budget = 80
-	// Server 0 is busy, server 1 idle; scarce global budget must tilt
-	// toward the busy server.
-	perServer := make([][]job.Job, 2)
+	// Server 0 owns the only busy class, server 1 idles; the scarce global
+	// budget must tilt toward the busy server.
+	cfg := testConfig(2)
+	cfg.GlobalBudget = 0.6 * 2 * 80
+	cfg.Dispatch = ByClass
+	cfg.Classes = []string{"busy", "idle"}
+	var jobs []job.Job
 	for i := 0; i < 200; i++ {
-		perServer[0] = append(perServer[0], job.Job{
-			ID: job.ID(i), Release: float64(i) * 0.05, Deadline: float64(i)*0.05 + 1, Demand: 400,
+		jobs = append(jobs, job.Job{
+			ID: job.ID(i), Release: float64(i) * 0.05, Deadline: float64(i)*0.05 + 1, Demand: 400, Class: "busy",
 		})
 	}
-	sched := epochBudgets(2, server, 0.6*2*80, 1, 1.25, 10, perServer, make([][][]interval, 2), false)
-	if sched.shareW[0] <= sched.shareW[1] {
-		t.Errorf("busy server got %g W, idle server %g W; want busy > idle",
-			sched.shareW[0], sched.shareW[1])
+	res := budgetRun(t, cfg, jobs)
+	if busy, idle := res.PerServer[0].BudgetShareW, res.PerServer[1].BudgetShareW; busy <= idle {
+		t.Errorf("busy server got %g W, idle server %g W; want busy > idle", busy, idle)
+	}
+	if len(res.BudgetWindows[1]) == 0 {
+		t.Error("idle server kept its full budget under a scarce global budget")
 	}
 }
 
 func TestEpochBudgetsOutageReleasesShare(t *testing.T) {
-	server := sim.PaperConfig()
-	server.Cores = 2
-	server.Budget = 80
-	outages := make([][][]interval, 2)
-	outages[1] = [][]interval{
-		{{start: 0, end: 10}},
-		{{start: 0, end: 10}},
+	cfg := testConfig(2)
+	cfg.Server.Cores = 2
+	cfg.GlobalBudget = 80
+	cfg.Faults = [][]sim.Fault{nil, {
+		{Core: 0, Start: 0, End: 20, SpeedFactor: 0},
+		{Core: 1, Start: 0, End: 20, SpeedFactor: 0},
+	}}
+	res := budgetRun(t, cfg, testJobs(t, 20, 10))
+	if share := res.PerServer[1].BudgetShareW; share != 0 {
+		t.Errorf("fully outaged server holds %g W", share)
 	}
-	sched := epochBudgets(2, server, 80, 1, 1.25, 10, make([][]job.Job, 2), outages, false)
-	if sched.shareW[1] != 0 {
-		t.Errorf("fully outaged server holds %g W", sched.shareW[1])
+	if w := res.BudgetWindows[1]; len(w) != 1 || w[0].Fraction != 0 {
+		t.Errorf("fully outaged server's budget windows %+v, want one zero-fraction window", w)
 	}
-	if math.Abs(sched.shareW[0]-80) > 1e-9 {
-		t.Errorf("healthy server share = %g, want the full 80 W", sched.shareW[0])
+	if share := res.PerServer[0].BudgetShareW; math.Abs(share-80) > 1e-9 {
+		t.Errorf("healthy server share = %g, want the full 80 W", share)
 	}
 }
 
@@ -440,5 +473,65 @@ func TestMergeIntervals(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("interval %d = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// tinyEpochJobs is the runaway shape: a handful of jobs spread over
+// seconds, dispatched in microsecond epochs with no global budget.
+func tinyEpochJobs() (Config, []job.Job) {
+	cfg := testConfig(2)
+	cfg.Epoch = 1e-6
+	var jobs []job.Job
+	for i := 0; i < 25; i++ {
+		r := 0.1 * float64(i)
+		jobs = append(jobs, job.Job{ID: job.ID(i), Release: r, Deadline: r + 0.15, Demand: 100})
+	}
+	return cfg, jobs
+}
+
+// TestRunBoundsEpochs: a run that would start epoch MaxEpochs fails with a
+// typed error instead of stepping through millions of idle epochs.
+func TestRunBoundsEpochs(t *testing.T) {
+	cfg, jobs := tinyEpochJobs()
+	var ce *cfgerr.Error
+	if _, err := Run(cfg, jobs); !errors.As(err, &ce) || ce.Field != "epoch" {
+		t.Fatalf("Run over %g s in %g s epochs returned %v, want a typed epoch error", jobs[len(jobs)-1].Release, cfg.Epoch, err)
+	}
+	// The same jobs in epochs that fit the bound run fine.
+	cfg.Epoch = 1e-4
+	if _, err := Run(cfg, jobs); err != nil {
+		t.Fatalf("Run in %g s epochs: %v", cfg.Epoch, err)
+	}
+}
+
+// countingSource cancels its run's context once it has served n epochs.
+type countingSource struct {
+	job.Source
+	calls, n int
+	cancel   func()
+}
+
+func (s *countingSource) Next(until float64) []job.Job {
+	s.calls++
+	if s.calls == s.n {
+		s.cancel()
+	}
+	return s.Source.Next(until)
+}
+
+// TestRunHonorsContextPerEpoch: the epoch loop polls Server.Context once per
+// epoch, so a cancelled run returns the context's error within one epoch
+// even when no engine has an event to process.
+func TestRunHonorsContextPerEpoch(t *testing.T) {
+	cfg, jobs := tinyEpochJobs()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Server.Context = ctx
+	src := &countingSource{Source: job.NewSliceSource(jobs), n: 1000, cancel: cancel}
+	if _, err := RunStream(cfg, src); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if src.calls != src.n {
+		t.Fatalf("the run pulled %d epochs after the cancel at epoch %d", src.calls-src.n, src.n)
 	}
 }

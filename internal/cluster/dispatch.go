@@ -179,11 +179,9 @@ type pending struct{ deadline, demand float64 }
 
 // dispatcher routes one arrival at a time, carrying the routing state —
 // RoundRobin's cumulative cursor, LeastLoaded's outstanding-demand
-// accounting — across calls. Both the batch dispatch pass and the streamed
-// cluster pipeline run their arrivals through the same route method, so a
-// streamed run reproduces the batch assignment job for job. Routing is
-// sequential and pure: the same arrival sequence always produces the same
-// assignment — cluster determinism starts here.
+// accounting — across calls. Routing is sequential and pure: the same
+// arrival sequence always produces the same assignment — cluster
+// determinism starts here.
 type dispatcher struct {
 	d       Dispatch
 	servers int
@@ -245,7 +243,7 @@ func (dp *dispatcher) anyUp(t float64) bool {
 // route assigns the next arrival to a server and reports whether the
 // assignment was a reroute — the policy's first-choice server was outaged
 // and the job landed elsewhere. Arrivals must come in release order (ID
-// tie-break), the order the batch pass sorts into.
+// tie-break).
 func (dp *dispatcher) route(j job.Job) (server int, rerouted bool) {
 	t := j.Release
 	allDown := !dp.anyUp(t)
@@ -333,22 +331,4 @@ func (dp *dispatcher) route(j job.Job) (server int, rerouted bool) {
 		dp.cursor = (dp.cursor + 1) % dp.servers
 	}
 	return s, moved
-}
-
-// dispatchJobs assigns every job to a server and returns the per-server
-// substreams (jobs keep their global IDs) plus the assignment vector in
-// sorted-job order and, per job, whether the assignment was a reroute.
-// jobs must already be sorted by release (ID tie-break).
-func dispatchJobs(d Dispatch, servers int, cores int, outages [][][]interval, classes []string, jobs []job.Job) (perServer [][]job.Job, assign []int, rerouted []bool) {
-	perServer = make([][]job.Job, servers)
-	assign = make([]int, len(jobs))
-	rerouted = make([]bool, len(jobs))
-	dp := newDispatcher(d, servers, cores, outages, classes)
-	for i, j := range jobs {
-		s, moved := dp.route(j)
-		assign[i] = s
-		rerouted[i] = moved
-		perServer[s] = append(perServer[s], j)
-	}
-	return perServer, assign, rerouted
 }

@@ -69,41 +69,6 @@ type hedgePair struct {
 	secondary int
 }
 
-// applyHedges rebuilds the per-server substreams with hedged duplicates
-// appended in release order (so every substream stays release-sorted) and
-// returns the pairs to resolve after the runs. assign is dispatchJobs'
-// assignment vector over the sorted stream.
-func applyHedges(h HedgeConfig, servers, cores int, outages [][][]interval, sorted []job.Job, assign []int) ([][]job.Job, []hedgePair) {
-	perServer := make([][]job.Job, servers)
-	var pairs []hedgePair
-	seen := make(map[job.ID]bool)
-	for i, j := range sorted {
-		p := assign[i]
-		perServer[p] = append(perServer[p], j)
-		if servers < 2 || j.Deadline-j.Release > h.Window || seen[j.ID] {
-			continue
-		}
-		if h.Limit > 0 && len(pairs) >= h.Limit {
-			continue
-		}
-		sec := -1
-		for d := 1; d < servers; d++ {
-			q := (p + d) % servers
-			if serverUp(cores, outages[q], j.Release) {
-				sec = q
-				break
-			}
-		}
-		if sec < 0 {
-			continue
-		}
-		seen[j.ID] = true
-		pairs = append(pairs, hedgePair{id: j.ID, demand: j.Demand, class: j.Class, primary: p, secondary: sec})
-		perServer[sec] = append(perServer[sec], j)
-	}
-	return perServer, pairs
-}
-
 // secondaryWins resolves one hedge pair: first completion wins, then
 // quality, with every tie breaking to the primary.
 func secondaryWins(po, so sim.JobOutcome) bool {
@@ -124,36 +89,11 @@ func secondaryWins(po, so sim.JobOutcome) bool {
 // losing replica's quality, arrival, and outcome are subtracted (qmax
 // evaluates the job class's quality function at a job's full demand, for
 // the MaxQuality normalizer) — from the fleet totals and from the job's
-// per-class entry alike — and the hedge counters are filled in. Pairs are
-// resolved in dispatch order, so the subtraction sequence — and with it the
-// float result — is deterministic.
-func resolveHedges(res *Result, pairs []hedgePair, results []sim.Result, qmax func(string, float64) float64) {
-	if len(pairs) == 0 {
-		return
-	}
-	byID := make([]map[job.ID]sim.JobOutcome, len(results))
-	lookup := func(s int, id job.ID) (sim.JobOutcome, bool) {
-		m := byID[s]
-		if m == nil {
-			m = make(map[job.ID]sim.JobOutcome, len(results[s].Jobs))
-			for _, o := range results[s].Jobs {
-				if _, dup := m[o.ID]; !dup {
-					m[o.ID] = o
-				}
-			}
-			byID[s] = m
-		}
-		o, ok := m[id]
-		return o, ok
-	}
-	resolveHedgesWith(res, pairs, lookup, qmax)
-}
-
-// resolveHedgesWith is resolveHedges over an abstract replica-outcome
-// lookup: the batch path looks replicas up in the collected per-server job
-// outcomes, the streamed path in the outcomes its observers captured at
-// departure time.
-func resolveHedgesWith(res *Result, pairs []hedgePair, lookup func(s int, id job.ID) (sim.JobOutcome, bool), qmax func(string, float64) float64) {
+// per-class entry alike — and the hedge counters are filled in. captured
+// holds, per server, the replica outcomes the engine observers recorded at
+// departure. Pairs are resolved in dispatch order, so the subtraction
+// sequence — and with it the float result — is deterministic.
+func resolveHedges(res *Result, pairs []hedgePair, captured []map[job.ID]sim.JobOutcome, qmax func(string, float64) float64) {
 	if len(pairs) == 0 {
 		return
 	}
@@ -166,8 +106,8 @@ func resolveHedgesWith(res *Result, pairs []hedgePair, lookup func(s int, id job
 		return nil
 	}
 	for _, p := range pairs {
-		po, okP := lookup(p.primary, p.id)
-		so, okS := lookup(p.secondary, p.id)
+		po, okP := captured[p.primary][p.id]
+		so, okS := captured[p.secondary][p.id]
 		if !okP || !okS {
 			continue
 		}

@@ -23,7 +23,8 @@ type Instrument struct {
 	// "dispatch" summary, one "epoch" span per budget-reflow epoch
 	// (water level, committed and leftover watts), and per-server
 	// subtrees whose "replan"/"fault-edge" instants come from the engine
-	// event stream.
+	// event stream. Over a lazy job source it must be a sampling tracer
+	// (span.NewSampling); the structural spans are kept either way.
 	Tracer *span.Tracer
 
 	// Series receives one Sample per epoch per server (folded in server
@@ -39,14 +40,15 @@ type Instrument struct {
 	// Traces records every server's executed schedule into
 	// Result.Traces, with dispatch decisions and budget windows in
 	// Result.DispatchEvents / Result.BudgetWindows — the inputs of a
-	// telemetry.ClusterTrace.
+	// telemetry.ClusterTrace. They grow with the run, so Traces needs a
+	// job slice (Run, or a job.SliceSource).
 	Traces bool
 
 	// Flight arms a per-server flight recorder: each engine feeds its
 	// own fixed ring (derived via Child, folded back with Absorb in
 	// server index order), and dumps trip on fault edges, shed bursts,
 	// or explicit Trip calls. Fixed memory per server, so it is allowed
-	// — and intended — on streamed runs.
+	// — and intended — over lazy sources.
 	Flight *flightrec.Recorder
 }
 
@@ -55,8 +57,8 @@ func (ins *Instrument) enabled() bool {
 	return ins != nil && (ins.Tracer != nil || ins.Series != nil || ins.Registry != nil || ins.Traces || ins.Flight != nil)
 }
 
-// serverProbes is the per-server instrumentation state created inside the
-// worker pool and folded afterwards.
+// serverProbes is the per-server instrumentation state, fed by its
+// server's engine and folded after the final barrier.
 type serverProbes struct {
 	tracer  *span.Tracer
 	root    span.ID // the tracer's "server" root span

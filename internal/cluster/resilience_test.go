@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"dessched/internal/cfgerr"
@@ -133,69 +134,64 @@ func TestClusterHedgeRecoversQuality(t *testing.T) {
 	}
 }
 
-// TestClusterCheckpointResume: resuming from any completed-server snapshot
-// reproduces the uninterrupted run bit for bit, including through the JSON
-// round trip, with retries and hedging active.
+// checkpointedRun runs cfg over jobs with an epoch snapshot taken every
+// epoch, returning the result and the encoded snapshots in order.
+func checkpointedRun(t *testing.T, cfg Config, jobs []job.Job) (Result, [][]byte) {
+	t.Helper()
+	var blobs [][]byte
+	cfg.StreamCheckpoint = &StreamCheckpointConfig{Every: 1, Sink: func(s *StreamSnapshot) error {
+		b, err := EncodeStreamSnapshot(s)
+		blobs = append(blobs, b)
+		return err
+	}}
+	res, err := Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, blobs
+}
+
+// TestClusterCheckpointResume: on a chaos-degraded fleet with retries and
+// hedging, resuming from an epoch snapshot — through the JSON round trip —
+// reproduces the uninterrupted run bit for bit, whatever the worker count
+// of either half.
 func TestClusterCheckpointResume(t *testing.T) {
-	jobs := testJobs(t, 160, 60)
+	jobs := testJobs(t, 160, 12)
 	cfg := resilientConfig(t, 6)
 
 	base, err := Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var snaps []*Snapshot
-	ck := cfg
-	ck.Checkpoint = &CheckpointConfig{
-		Sink: func(s *Snapshot) error { snaps = append(snaps, s); return nil },
+	got, blobs := checkpointedRun(t, cfg, jobs)
+	if !reflect.DeepEqual(got, base) {
+		t.Fatal("checkpointing changed the run's result")
 	}
-	got, err := Run(ck, jobs)
-	if err != nil {
-		t.Fatal(err)
+	if len(blobs) < 12 {
+		t.Fatalf("%d snapshots, want one per epoch over a 12 s stream", len(blobs))
 	}
-	exactlyEqual(t, base, got, "checkpointed")
-	if len(snaps) != cfg.Servers {
-		t.Fatalf("%d snapshots, want one per server (%d)", len(snaps), cfg.Servers)
-	}
-	for i, s := range snaps {
-		if len(s.Done) != i+1 {
-			t.Fatalf("snapshot %d covers %d servers, want %d", i, len(s.Done), i+1)
-		}
-	}
-
-	for i, k := range []int{0, len(snaps) / 2, len(snaps) - 2} {
-		b, err := EncodeSnapshot(snaps[k])
+	for i, k := range []int{0, len(blobs) / 2, len(blobs) - 1} {
+		snap, err := DecodeStreamSnapshot(blobs[k])
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := DecodeSnapshot(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The resumed remainder must also be worker-count independent.
 		rcfg := cfg
 		rcfg.Workers = []int{1, 4, 16}[i]
-		res, err := Resume(rcfg, jobs, snap)
+		res, err := ResumeStream(rcfg, job.NewSliceSource(jobs), snap)
 		if err != nil {
-			t.Fatalf("resume from snapshot %d: %v", k, err)
+			t.Fatalf("resume from epoch %d: %v", snap.Epoch, err)
 		}
-		exactlyEqual(t, base, res, "resumed")
+		if !reflect.DeepEqual(res, base) {
+			t.Fatalf("workers=%d: resume from epoch %d diverged from the uninterrupted run", rcfg.Workers, snap.Epoch)
+		}
 		sameRecovery(t, base, res, "resumed")
 	}
-
-	// The last snapshot covers every server: resume runs nothing.
-	res, err := Resume(cfg, jobs, snaps[len(snaps)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactlyEqual(t, base, res, "fully-resumed")
 }
 
 // TestClusterCheckpointCrash: a failing sink aborts the run, and the last
 // delivered snapshot resumes to the uninterrupted result.
 func TestClusterCheckpointCrash(t *testing.T) {
-	jobs := testJobs(t, 160, 60)
+	jobs := testJobs(t, 160, 12)
 	cfg := resilientConfig(t, 6)
 
 	base, err := Run(cfg, jobs)
@@ -204,64 +200,70 @@ func TestClusterCheckpointCrash(t *testing.T) {
 	}
 
 	crash := errors.New("disk full")
-	var last *Snapshot
+	var last []byte
 	n := 0
-	ck := cfg
-	ck.Workers = 1 // deterministic sink order for the crash count
-	ck.Checkpoint = &CheckpointConfig{
-		Sink: func(s *Snapshot) error {
+	for _, workers := range []int{1, 4, 16} {
+		ck := cfg
+		ck.Workers = workers
+		n, last = 0, nil
+		ck.StreamCheckpoint = &StreamCheckpointConfig{Every: 2, Sink: func(s *StreamSnapshot) error {
 			if n++; n > 3 {
 				return crash
 			}
-			last = s
-			return nil
-		},
+			var err error
+			last, err = EncodeStreamSnapshot(s)
+			return err
+		}}
+		if _, err := Run(ck, jobs); !errors.Is(err, crash) {
+			t.Fatalf("workers=%d: crashed run returned %v, want the sink error", workers, err)
+		}
+		snap, err := DecodeStreamSnapshot(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Epoch != 6 {
+			t.Fatalf("workers=%d: the surviving snapshot is at epoch %d, want 6", workers, snap.Epoch)
+		}
+		res, err := ResumeStream(cfg, job.NewSliceSource(jobs), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, base) {
+			t.Fatalf("workers=%d: crash-resume diverged from the uninterrupted run", workers)
+		}
 	}
-	if _, err := Run(ck, jobs); !errors.Is(err, crash) {
-		t.Fatalf("crashed run returned %v, want the sink error", err)
-	}
-	if last == nil || len(last.Done) != 3 {
-		t.Fatalf("expected a 3-server snapshot to survive the crash, got %+v", last)
-	}
-	res, err := Resume(cfg, jobs, last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactlyEqual(t, base, res, "crash-resume")
 }
 
 // TestClusterCheckpointRejects pins the typed-error surface: config/snapshot
 // mismatches, instrumented checkpointing, and malformed snapshots.
 func TestClusterCheckpointRejects(t *testing.T) {
-	jobs := testJobs(t, 60, 20)
+	jobs := testJobs(t, 60, 6)
 	cfg := resilientConfig(t, 4)
 
-	var snap *Snapshot
-	ck := cfg
-	ck.Checkpoint = &CheckpointConfig{
-		Sink: func(s *Snapshot) error { snap = s; return nil },
-	}
-	if _, err := Run(ck, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
+	_, blobs := checkpointedRun(t, cfg, jobs)
+	if len(blobs) == 0 {
 		t.Fatal("no snapshot taken")
+	}
+	snap, err := DecodeStreamSnapshot(blobs[len(blobs)/2])
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var ce *cfgerr.Error
 	wrong := cfg
 	wrong.GlobalBudget *= 0.5
-	if _, err := Resume(wrong, jobs, snap); !errors.As(err, &ce) {
+	if _, err := ResumeStream(wrong, job.NewSliceSource(jobs), snap); !errors.As(err, &ce) {
 		t.Errorf("resume under a different global budget: err = %v, want *cfgerr.Error", err)
 	}
-	if _, err := Resume(cfg, jobs[:len(jobs)-1], snap); !errors.As(err, &ce) {
+	if _, err := ResumeStream(cfg, job.NewSliceSource(jobs[1:]), snap); !errors.As(err, &ce) {
 		t.Errorf("resume with a different workload: err = %v, want *cfgerr.Error", err)
 	}
-	if _, err := Resume(cfg, jobs, nil); !errors.As(err, &ce) {
+	if _, err := ResumeStream(cfg, job.NewSliceSource(jobs), nil); !errors.As(err, &ce) {
 		t.Errorf("nil snapshot: err = %v, want *cfgerr.Error", err)
 	}
 
-	bad := ck
+	bad := cfg
+	bad.StreamCheckpoint = &StreamCheckpointConfig{Every: 1, Sink: func(*StreamSnapshot) error { return nil }}
 	bad.Instrument = &Instrument{Traces: true}
 	if _, err := Run(bad, jobs); !errors.As(err, &ce) {
 		t.Errorf("checkpoint+instrument accepted: %v", err)
@@ -272,16 +274,19 @@ func TestClusterCheckpointRejects(t *testing.T) {
 		t.Errorf("sim checkpoint on the server template accepted: %v", err)
 	}
 	noSink := cfg
-	noSink.Checkpoint = &CheckpointConfig{}
+	noSink.StreamCheckpoint = &StreamCheckpointConfig{Every: 1}
 	if _, err := Run(noSink, jobs); !errors.As(err, &ce) {
 		t.Errorf("sinkless checkpoint accepted: %v", err)
 	}
 
-	if _, err := DecodeSnapshot([]byte(`not json`)); !errors.As(err, &ce) {
+	if _, err := DecodeStreamSnapshot([]byte(`not json`)); !errors.As(err, &ce) {
 		t.Errorf("garbage snapshot decode: err = %v, want *cfgerr.Error", err)
 	}
-	if _, err := DecodeSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster","servers":2,"done":[{"server":5}]}`)); !errors.As(err, &ce) {
-		t.Errorf("out-of-range server index accepted: %v", err)
+	if _, err := DecodeStreamSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster","servers":2,"done":[{"server":1}]}`)); !errors.As(err, &ce) {
+		t.Errorf("retired completed-server snapshot accepted: %v", err)
+	}
+	if _, err := DecodeStreamSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster-stream","servers":2,"per_server":[{}]}`)); !errors.As(err, &ce) {
+		t.Errorf("snapshot with a missing engine state accepted: %v", err)
 	}
 }
 

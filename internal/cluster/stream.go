@@ -1,232 +1,27 @@
-// Streamed cluster runs: the bounded-memory form of Run for fleet scale
-// (docs/SCALE.md). Instead of materializing the whole job stream, routing
-// it, water-filling every epoch's budget, and only then simulating, the
-// streamed pipeline interleaves the three per dispatch epoch:
-//
-//	pull arrivals < t1  →  validate + route + hedge (sequential)
-//	                    →  water-fill the epoch's budget (sequential)
-//	                    →  feed + advance every server engine (parallel)
-//
-// The sequential ingest stage runs the same dispatcher, hedging rules, and
-// epochFiller arithmetic as the batch path, in the same order; the per-
-// server engines are sim.Stream sessions fed exactly the substreams the
-// batch path would have handed them. Results are therefore bit-identical
-// to Run for any Workers count, with the engine-lifetime caveats the sim
-// package documents (Events/Invocation counts of engines idling through
-// the fleet's tail, and no maxEpochs grid stretching).
-//
-// Memory stays bounded by the fleet's in-flight window: per-epoch batches
-// are reused, engines retire departed jobs into running folds, budget
-// windows are pruned, and the dispatcher compacts its accounting — nothing
-// grows with the total number of jobs except the optional hedge-pair
-// bookkeeping (cap it with Hedge.Limit on very long streams).
 package cluster
 
 import (
-	"encoding/json"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 	"dessched/internal/sim"
 	"dessched/internal/telemetry"
 	"dessched/internal/telemetry/span"
+	"dessched/internal/trace"
 )
 
-// StreamSnapshotKind discriminates a streamed-cluster snapshot inside the
-// shared dessched-checkpoint/v1 envelope.
-const StreamSnapshotKind = "cluster-stream"
-
-// StreamCheckpointConfig enables epoch-boundary checkpointing on the
-// streamed path: after every Every completed dispatch epochs the Sink
-// receives a StreamSnapshot of the whole fleet's in-flight state.
-// ResumeStream continues from a snapshot by replaying the already-consumed
-// arrival prefix through the (cheap, engine-free) ingest stage to rebuild
-// the coordinator, then restoring every server engine.
-type StreamCheckpointConfig struct {
-	// Every is the checkpoint cadence in dispatch epochs (required > 0).
-	Every int
-
-	// Sink receives each snapshot. An error aborts the run (the crash
-	// model) and is returned from RunStream.
-	Sink func(*StreamSnapshot) error
-}
-
-// Validate reports configuration errors as typed *cfgerr.Error values.
-func (c *StreamCheckpointConfig) Validate() error {
-	if c.Every <= 0 {
-		return cfgerr.New("cluster", "stream_checkpoint", "cluster: stream checkpoint cadence must be positive epochs, got %d", c.Every)
-	}
-	if c.Sink == nil {
-		return cfgerr.New("cluster", "stream_checkpoint", "cluster: stream checkpoint needs a sink")
-	}
-	return nil
-}
-
-// StreamSnapshot is a resumable image of a streamed cluster run at a
-// dispatch-epoch boundary. The coordinator's routing, hedging, and budget
-// state are deterministic recomputations from the arrival prefix, so they
-// are not stored: the config fingerprint pins the configuration, and
-// (JobsFed, JobsHash) pin the prefix — ResumeStream replays it from the
-// source and verifies both. Only the per-server engine states and the
-// already-departed hedge replica outcomes are carried.
-type StreamSnapshot struct {
-	Version     string `json:"version"`
-	Kind        string `json:"kind"`
-	Fingerprint uint64 `json:"fingerprint"` // fingerprintClusterConfig (no workload)
-	Servers     int    `json:"servers"`
-	Epoch       int    `json:"epoch"`     // completed dispatch epochs
-	JobsFed     int    `json:"jobs_fed"`  // arrivals consumed from the source
-	JobsHash    uint64 `json:"jobs_hash"` // rolling FNV over the consumed arrivals
-
-	// Captured holds, per server, the hedged replica outcomes that already
-	// departed (sorted by job ID); replicas still in flight are re-captured
-	// after resume. Only Quality, DepartAt, and Reason are meaningful.
-	Captured [][]sim.JobOutcome `json:"captured,omitempty"`
-
-	// PerServer is each server engine's streamed sim snapshot.
-	PerServer []*sim.Snapshot `json:"per_server"`
-}
-
-// EncodeStreamSnapshot serializes a streamed-cluster snapshot. JSON
-// round-trips float64 exactly, so a decoded snapshot resumes
-// bit-identically.
-func EncodeStreamSnapshot(s *StreamSnapshot) ([]byte, error) {
-	if s == nil {
-		return nil, cfgerr.New("cluster", "snapshot", "cluster: nil snapshot")
-	}
-	b, err := json.Marshal(s)
-	if err != nil {
-		return nil, cfgerr.New("cluster", "snapshot", "cluster: encode snapshot: %v", err)
-	}
-	return b, nil
-}
-
-// DecodeStreamSnapshot parses and structurally validates a streamed-cluster
-// snapshot. Malformed input yields a typed *cfgerr.Error, never a panic.
-func DecodeStreamSnapshot(b []byte) (*StreamSnapshot, error) {
-	var s StreamSnapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, cfgerr.New("cluster", "snapshot", "cluster: decode snapshot: %v", err)
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-func (s *StreamSnapshot) validate() error {
-	if s.Version != sim.SnapshotVersion {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot version %q, want %q", s.Version, sim.SnapshotVersion)
-	}
-	if s.Kind != StreamSnapshotKind {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot kind %q, want %q", s.Kind, StreamSnapshotKind)
-	}
-	if s.Servers <= 0 {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot has %d servers", s.Servers)
-	}
-	if s.Epoch < 0 {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot at negative epoch %d", s.Epoch)
-	}
-	if len(s.PerServer) != s.Servers {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot holds %d engine states for %d servers", len(s.PerServer), s.Servers)
-	}
-	for i, ps := range s.PerServer {
-		if ps == nil {
-			return cfgerr.New("cluster", "snapshot", "cluster: snapshot engine state for server %d is missing", i)
-		}
-	}
-	if len(s.Captured) != 0 && len(s.Captured) != s.Servers {
-		return cfgerr.New("cluster", "snapshot", "cluster: snapshot holds captured outcomes for %d servers, want 0 or %d", len(s.Captured), s.Servers)
-	}
-	return nil
-}
-
-// RunStream dispatches a lazily generated job stream across the fleet one
-// epoch at a time — Run's bounded-memory twin. src must yield jobs in
-// release order (ID tie-break on equal releases, the order Run sorts
-// into); workload.NewStream and workloadspec streams do. Results are
-// bit-identical to Run on the materialized stream except for the
-// engine-lifetime counters documented in the sim package.
-//
-// Batch-only knobs are rejected with typed errors: Server.CollectJobs
-// (per-job outcome collection grows with the stream), Checkpoint (use
-// StreamCheckpoint), full-trace Instrument.Tracer, and Instrument.Traces
-// (unsampled span and executed-schedule traces grow with the run).
-// Series, Registry, the flight recorder, and a sampling Tracer
-// (span.NewSampling) all stay bounded and are supported.
-func RunStream(cfg Config, src job.Source) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := validateStreamed(cfg); err != nil {
-		return Result{}, err
-	}
-	if src == nil {
-		return Result{}, cfgerr.New("cluster", "source", "cluster: nil job source")
-	}
-	return runStream(cfg, src, nil)
-}
-
-// ResumeStream continues a checkpointed streamed run: the consumed arrival
-// prefix is replayed from src through the ingest stage (no engine work) to
-// rebuild the coordinator, verified against the snapshot's rolling hash,
-// and every server engine is restored in place. The configuration and the
-// source must be those of the original run.
-func ResumeStream(cfg Config, src job.Source, snap *StreamSnapshot) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := validateStreamed(cfg); err != nil {
-		return Result{}, err
-	}
-	if src == nil {
-		return Result{}, cfgerr.New("cluster", "source", "cluster: nil job source")
-	}
-	if snap == nil {
-		return Result{}, cfgerr.New("cluster", "snapshot", "cluster: nil snapshot")
-	}
-	if err := snap.validate(); err != nil {
-		return Result{}, err
-	}
-	if snap.Servers != cfg.Servers {
-		return Result{}, cfgerr.New("cluster", "snapshot", "cluster: snapshot covers %d servers, config has %d", snap.Servers, cfg.Servers)
-	}
-	if got, want := fingerprintClusterConfig(cfg), snap.Fingerprint; got != want {
-		return Result{}, cfgerr.New("cluster", "snapshot",
-			"cluster: snapshot fingerprint %#x does not match the configuration (%#x) — config, policy, faults, or budget knobs changed", want, got)
-	}
-	return runStream(cfg, src, snap)
-}
-
-// validateStreamed rejects the configuration knobs the streamed path
-// cannot honor within its bounded-memory contract.
-func validateStreamed(cfg Config) error {
-	if cfg.Server.CollectJobs {
-		return cfgerr.New("cluster", "server", "cluster: CollectJobs is not supported on streamed runs; per-job outcomes would grow with the stream")
-	}
-	if cfg.Checkpoint != nil {
-		return cfgerr.New("cluster", "checkpoint", "cluster: completed-server checkpointing is not supported on streamed runs; use StreamCheckpoint (epoch-boundary snapshots)")
-	}
-	if ins := cfg.Instrument; ins != nil {
-		if ins.Tracer != nil && !ins.Tracer.Sampled() {
-			return cfgerr.New("cluster", "instrument", "cluster: full span traces are not supported on streamed runs (they grow with the run); use a sampling tracer (span.NewSampling) whose retained spans are bounded, or the flight recorder")
-		}
-		if ins.Traces {
-			return cfgerr.New("cluster", "instrument", "cluster: executed-schedule traces are not supported on streamed runs (they grow with the run); Series, Registry, sampled spans, and the flight recorder are")
-		}
-	}
-	return nil
-}
-
-// streamCoord is the sequential coordinator of a streamed run: routing,
-// validation, hedging, demand accounting, and the budget filler. Engines
-// never touch it; it never touches engines — the epoch loop alternates
+// coordinator is the sequential half of the epoch loop: validation,
+// routing, hedging, demand accounting, the budget filler, and the run-level
+// probes (span skeleton, dispatch decisions, merged budget windows).
+// Engines never touch it; it never touches engines — the loop alternates
 // between the two, so neither needs locks.
-type streamCoord struct {
+//
+// Memory stays bounded by the fleet's in-flight window: per-epoch batches
+// are reused and the dispatcher compacts its accounting. Only the optional
+// hedge-pair bookkeeping (cap it with Hedge.Limit) and the probes a job
+// slice admits (Instrument.Traces) grow with the number of jobs.
+type coordinator struct {
 	cfg      Config
 	spec     PolicySpec
 	server   sim.Config // configured template (spec.Configure applied)
@@ -236,17 +31,19 @@ type streamCoord struct {
 	dp       *dispatcher
 	filler   *epochFiller // nil when GlobalBudget <= 0
 
-	validator job.StreamValidator
-	batches   [][]job.Job // current epoch's per-server arrivals (reused)
-	demand    []float64   // current epoch's per-server demand (filler only)
-	jobs      []int       // arrivals dispatched per server, cumulative
-	rerouted  int
-	horizon   float64 // max deadline seen
-	fed       int
-	hash      fnvCluster
+	validator   job.StreamValidator
+	batches     [][]job.Job // current epoch's per-server arrivals (reused)
+	demand      []float64   // current epoch's per-server demand (filler only)
+	fracs       []float64   // current epoch's per-server budget fractions
+	jobs        []int       // arrivals dispatched per server, cumulative
+	rerouted    int
+	horizon     float64 // max deadline seen
+	lastRelease float64
+	fed         int
+	hash        fnvCluster
 
 	srcDone bool
-	nBudget int // budget epochs = ceil(horizon/epochLen), valid once srcDone
+	nBudget int // budget epochs = ⌈horizon/ε⌉, valid once srcDone
 	n       int // total epochs to run, valid once srcDone
 
 	// Hedging: pairs in dispatch order, the hedged-ID set, and per-server
@@ -256,9 +53,25 @@ type streamCoord struct {
 	seen     map[job.ID]bool
 	watch    []map[job.ID]bool
 	captured []map[job.ID]sim.JobOutcome
+
+	// Span skeleton: the "cluster" root and its "dispatch" summary, with
+	// one "epoch" span per budget fill recorded as the loop goes.
+	tracer         *span.Tracer
+	root, dispatch span.ID
+
+	// Instrument.Traces: every routing decision, and each server's budget
+	// windows with adjacent equal-fraction epochs merged (openFrac 1 = no
+	// window open).
+	traces     bool
+	dispatched []telemetry.DispatchEvent
+	windows    [][]sim.BudgetFault
+	openFrac   []float64
+	openStart  []float64
 }
 
-func newStreamCoord(cfg Config) *streamCoord {
+// newCoordinator prepares the coordinator of a run. materialized marks a
+// job-slice source: hedged runs then collect per-job outcomes.
+func newCoordinator(cfg Config, materialized bool) *coordinator {
 	spec := PolicySpec{Name: "custom", New: cfg.NewPolicy}
 	if cfg.NewPolicy == nil {
 		spec, _ = ParsePolicy(cfg.Policy)
@@ -266,6 +79,9 @@ func newStreamCoord(cfg Config) *streamCoord {
 	server := cfg.Server
 	if spec.Configure != nil {
 		spec.Configure(&server)
+	}
+	if materialized && cfg.Hedge.Enabled() {
+		server.CollectJobs = true
 	}
 	epochLen := cfg.Epoch
 	if epochLen == 0 {
@@ -281,7 +97,7 @@ func newStreamCoord(cfg Config) *streamCoord {
 			outages[s] = mergedOutages(server.Cores, cfg.Faults[s])
 		}
 	}
-	c := &streamCoord{
+	c := &coordinator{
 		cfg:      cfg,
 		spec:     spec,
 		server:   server,
@@ -292,11 +108,14 @@ func newStreamCoord(cfg Config) *streamCoord {
 		batches:  make([][]job.Job, cfg.Servers),
 		jobs:     make([]int, cfg.Servers),
 		hedging:  cfg.Hedge.Enabled() && cfg.Servers >= 2,
+		root:     span.NoSpan,
+		dispatch: span.NoSpan,
 	}
 	c.hash.init()
 	if cfg.GlobalBudget > 0 {
-		c.filler = newEpochFiller(cfg.Servers, server, cfg.GlobalBudget, epochLen, headroom, outages, false)
+		c.filler = newEpochFiller(cfg.Servers, server, cfg.GlobalBudget, epochLen, headroom, outages)
 		c.demand = make([]float64, cfg.Servers)
+		c.fracs = make([]float64, cfg.Servers)
 	}
 	if c.hedging {
 		c.seen = make(map[job.ID]bool)
@@ -307,21 +126,43 @@ func newStreamCoord(cfg Config) *streamCoord {
 			c.captured[s] = make(map[job.ID]sim.JobOutcome)
 		}
 	}
+	if ins := cfg.Instrument; ins != nil {
+		if tr := ins.Tracer; tr != nil {
+			c.tracer = tr
+			c.root = tr.StartUnsampled(span.NoSpan, "cluster", 0)
+			tr.Int(c.root, "servers", cfg.Servers)
+			tr.String(c.root, "policy", spec.Name)
+			tr.String(c.root, "dispatch", cfg.Dispatch.String())
+			tr.Float(c.root, "global_budget_w", cfg.GlobalBudget)
+			c.dispatch = tr.StartUnsampled(c.root, "dispatch", 0)
+		}
+		if ins.Traces {
+			c.traces = true
+			c.windows = make([][]sim.BudgetFault, cfg.Servers)
+			c.openFrac = make([]float64, cfg.Servers)
+			c.openStart = make([]float64, cfg.Servers)
+			for s := range c.openFrac {
+				c.openFrac[s] = 1
+			}
+		}
+	}
 	return c
 }
 
+// epochEnd is the right edge of dispatch epoch e.
+func (c *coordinator) epochEnd(e int) float64 { return float64(e)*c.epochLen + c.epochLen }
+
 // ingest routes one epoch's arrivals: per job, in order — validate, fold
 // into the rolling hash, route, account demand and horizon, and apply the
-// hedging rules. The per-job operation sequence matches the batch path's
-// dispatch + applyHedges + demand bucketing exactly.
-func (c *streamCoord) ingest(epoch int, arr []job.Job) error {
+// hedging rules.
+func (c *coordinator) ingest(epoch int, arr []job.Job) error {
 	for s := range c.batches {
 		c.batches[s] = c.batches[s][:0]
 	}
 	for s := range c.demand {
 		c.demand[s] = 0
 	}
-	t1 := float64(epoch)*c.epochLen + c.epochLen
+	t1 := c.epochEnd(epoch)
 	for _, j := range arr {
 		if err := c.validator.Check(j); err != nil {
 			return err
@@ -341,10 +182,14 @@ func (c *streamCoord) ingest(epoch int, arr []job.Job) error {
 		if moved {
 			c.rerouted++
 		}
+		if c.traces {
+			c.dispatched = append(c.dispatched, telemetry.DispatchEvent{Time: j.Release, Job: int64(j.ID), Server: s, Rerouted: moved})
+		}
 		c.place(j, s)
 		if j.Deadline > c.horizon {
 			c.horizon = j.Deadline
 		}
+		c.lastRelease = j.Release
 		c.fed++
 		c.maybeHedge(j, s)
 	}
@@ -353,7 +198,7 @@ func (c *streamCoord) ingest(epoch int, arr []job.Job) error {
 
 // place appends a job (or replica) to a server's epoch batch with demand
 // and count accounting.
-func (c *streamCoord) place(j job.Job, s int) {
+func (c *coordinator) place(j job.Job, s int) {
 	c.batches[s] = append(c.batches[s], j)
 	c.jobs[s]++
 	if c.filler != nil {
@@ -361,9 +206,10 @@ func (c *streamCoord) place(j job.Job, s int) {
 	}
 }
 
-// maybeHedge applies the hedged-dispatch rules to one routed arrival —
-// applyHedges' per-job body, run inline.
-func (c *streamCoord) maybeHedge(j job.Job, p int) {
+// maybeHedge applies the hedged-dispatch rules to one routed arrival: a job
+// whose deadline window is within Hedge.Window gets a replica on the next
+// up server after its primary.
+func (c *coordinator) maybeHedge(j job.Job, p int) {
 	h := c.cfg.Hedge
 	if !c.hedging || j.Deadline-j.Release > h.Window || c.seen[j.ID] {
 		return
@@ -390,11 +236,11 @@ func (c *streamCoord) maybeHedge(j job.Job, p int) {
 }
 
 // noteDone records the source's exhaustion after an epoch's ingest: the
-// horizon is final, so the budget-epoch count (batch's n = ⌈horizon/ε⌉)
-// and the total epochs to run become known. Without a global budget there
-// is nothing to water-fill past the last arrival, so the run stops after
-// the current epoch.
-func (c *streamCoord) noteDone(epoch int) {
+// horizon is final, so the budget-epoch count ⌈horizon/ε⌉ and the total
+// epochs to run become known. Without a global budget there is nothing to
+// water-fill past the last arrival, so the run stops after the current
+// epoch.
+func (c *coordinator) noteDone(epoch int) {
 	if c.srcDone {
 		return
 	}
@@ -408,10 +254,82 @@ func (c *streamCoord) noteDone(epoch int) {
 	}
 }
 
-// fillable reports whether epoch e lies on the batch path's budget grid —
-// the filler must run for exactly the epochs epochBudgets iterates.
-func (c *streamCoord) fillable(e int) bool {
+// fillable reports whether epoch e lies on the budget grid ⌈horizon/ε⌉
+// epochs long, over which the filler runs.
+func (c *coordinator) fillable(e int) bool {
 	return c.filler != nil && (!c.srcDone || e < c.nBudget)
+}
+
+// fill water-fills epoch e and returns each server's budget fraction (the
+// coordinator's scratch slice, valid until the next call), recording the
+// epoch's span and budget windows when those probes are attached.
+func (c *coordinator) fill(e int) []float64 {
+	assigned := c.filler.fill(e, c.demand)
+	t0, t1 := float64(e)*c.epochLen, c.epochEnd(e)
+	if c.tracer != nil {
+		level, total := 0.0, 0.0
+		for _, a := range assigned {
+			if a > level {
+				level = a
+			}
+			total += a
+		}
+		ep := c.tracer.StartUnsampled(c.root, "epoch", t0)
+		c.tracer.Int(ep, "epoch", e)
+		c.tracer.Float(ep, "water_level_w", level)
+		c.tracer.Float(ep, "used_w", total)
+		c.tracer.Float(ep, "leftover_w", c.cfg.GlobalBudget-total)
+		c.tracer.End(ep, t1)
+	}
+	for s, a := range assigned {
+		frac := budgetFrac(a, c.nominal)
+		c.fracs[s] = frac
+		if c.traces && frac != c.openFrac[s] {
+			c.closeWindow(s, t0)
+			c.openFrac[s], c.openStart[s] = frac, t0
+		}
+	}
+	return c.fracs
+}
+
+// closeWindow ends server s's open budget window at end; full-budget
+// stretches record nothing.
+func (c *coordinator) closeWindow(s int, end float64) {
+	if c.openFrac[s] < 1 && end > c.openStart[s] {
+		c.windows[s] = append(c.windows[s], sim.BudgetFault{Start: c.openStart[s], End: end, Fraction: c.openFrac[s]})
+	}
+}
+
+// finishBudget closes the budget grid after the last epoch and returns each
+// server's time-averaged effective budget, watts.
+func (c *coordinator) finishBudget() []float64 {
+	if c.filler == nil || c.nBudget == 0 {
+		shareW := make([]float64, c.cfg.Servers)
+		for s := range shareW {
+			shareW[s] = c.nominal
+		}
+		return shareW
+	}
+	if c.traces {
+		end := float64(c.nBudget) * c.epochLen
+		for s := range c.windows {
+			c.closeWindow(s, end)
+		}
+	}
+	return c.filler.finishShares(c.nBudget)
+}
+
+// endSpans closes the span skeleton once the run is complete.
+func (c *coordinator) endSpans() {
+	if c.tracer == nil {
+		return
+	}
+	c.tracer.End(c.root, c.horizon)
+	c.tracer.Int(c.dispatch, "jobs", c.fed)
+	c.tracer.Int(c.dispatch, "rerouted", c.rerouted)
+	if c.fed > 0 {
+		c.tracer.End(c.dispatch, c.lastRelease)
+	}
 }
 
 // hedgeObserver returns the engine observer capturing hedged replicas'
@@ -419,7 +337,7 @@ func (c *streamCoord) fillable(e int) bool {
 // ID records the fields hedge resolution needs. It runs inside server s's
 // engine goroutine; the maps are only read by the coordinator after the
 // final barrier.
-func (c *streamCoord) hedgeObserver(s int) sim.Observer {
+func (c *coordinator) hedgeObserver(s int) sim.Observer {
 	watch, captured := c.watch[s], c.captured[s]
 	return func(ev sim.Event) {
 		var reason sim.DepartReason
@@ -448,45 +366,49 @@ func (c *streamCoord) hedgeObserver(s int) sim.Observer {
 }
 
 // serverCfg builds server s's engine config: the configured template plus
-// its fault schedule and the streamed run's observers (bounded telemetry
-// probes and the hedge capture hook).
-func (c *streamCoord) serverCfg(s int, probes []serverProbes) sim.Config {
+// its fault schedule and the run's per-server probes and hedge capture
+// hook.
+func (c *coordinator) serverCfg(s int, probes []serverProbes) sim.Config {
 	scfg := c.server
 	if len(c.cfg.Faults) > 0 {
 		scfg.Faults = c.cfg.Faults[s]
 	}
-	ins := c.cfg.Instrument
 	var observers []sim.Observer
 	var recorders []sim.Recorder
-	if ins != nil && ins.Tracer != nil {
-		// The sampled per-server tracer: seeded per server index, bounded
-		// by rate and the span limit, grafted back with Adopt in index
-		// order after the final barrier — bit-identical for any Workers.
+	if ins := c.cfg.Instrument; ins != nil {
 		p := &probes[s]
-		p.tracer = ins.Tracer.Child(s)
-		p.root = p.tracer.StartUnsampled(span.NoSpan, "server", 0)
-		p.tracer.Int(p.root, "server", s)
-		observers = append(observers, span.Observe(p.tracer, p.root))
-	}
-	if ins != nil && ins.Flight != nil {
-		p := &probes[s]
-		p.flight = ins.Flight.Child(s)
-		observers = append(observers, p.flight.Observe)
-	}
-	if ins != nil && ins.Series != nil {
-		p := &probes[s]
-		p.rec = telemetry.NewSeriesRecorder(ins.Series.Cap())
-		p.rec.OnSample = ins.Series.OnSample
-		p.sampler = telemetry.NewEpochSampler(p.rec, s, c.epochLen, scfg)
-		observers = append(observers, p.sampler.Observe)
-		recorders = append(recorders, p.sampler)
-	}
-	if ins != nil && ins.Registry != nil {
-		p := &probes[s]
-		p.reg = telemetry.NewRegistry()
-		p.col = telemetry.NewSimCollector(p.reg, scfg.Cores)
-		observers = append(observers, p.col.Observe)
-		recorders = append(recorders, p.col)
+		if ins.Tracer != nil {
+			// Child derives a per-server tracer: a plain bounded tracer
+			// from a plain parent, a seeded per-server sampler from a
+			// sampling parent — either way grafted back with Adopt in
+			// index order after the final barrier, so the merged trace is
+			// bit-identical for any Workers.
+			p.tracer = ins.Tracer.Child(s)
+			p.root = p.tracer.StartUnsampled(span.NoSpan, "server", 0)
+			p.tracer.Int(p.root, "server", s)
+			observers = append(observers, span.Observe(p.tracer, p.root))
+		}
+		if ins.Flight != nil {
+			p.flight = ins.Flight.Child(s)
+			observers = append(observers, p.flight.Observe)
+		}
+		if ins.Series != nil {
+			p.rec = telemetry.NewSeriesRecorder(ins.Series.Cap())
+			p.rec.OnSample = ins.Series.OnSample
+			p.sampler = telemetry.NewEpochSampler(p.rec, s, c.epochLen, scfg)
+			observers = append(observers, p.sampler.Observe)
+			recorders = append(recorders, p.sampler)
+		}
+		if ins.Registry != nil {
+			p.reg = telemetry.NewRegistry()
+			p.col = telemetry.NewSimCollector(p.reg, scfg.Cores)
+			observers = append(observers, p.col.Observe)
+			recorders = append(recorders, p.col)
+		}
+		if ins.Traces {
+			p.trace = trace.New(scfg.Cores)
+			recorders = append(recorders, p.trace)
+		}
 	}
 	if c.hedging {
 		observers = append(observers, c.hedgeObserver(s))
@@ -506,233 +428,4 @@ func (c *streamCoord) serverCfg(s int, probes []serverProbes) sim.Config {
 		scfg.Recorder = telemetry.MultiRecorder(recorders...)
 	}
 	return scfg
-}
-
-// snapshot captures the run at a completed-epoch boundary.
-func (c *streamCoord) snapshot(streams []*sim.Stream, epoch int) (*StreamSnapshot, error) {
-	per := make([]*sim.Snapshot, len(streams))
-	for s, st := range streams {
-		snap, err := st.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		per[s] = snap
-	}
-	var captured [][]sim.JobOutcome
-	if c.hedging {
-		captured = make([][]sim.JobOutcome, len(streams))
-		for s := range c.captured {
-			if len(c.captured[s]) == 0 {
-				continue
-			}
-			outs := make([]sim.JobOutcome, 0, len(c.captured[s]))
-			for _, o := range c.captured[s] {
-				outs = append(outs, o)
-			}
-			sort.Slice(outs, func(a, b int) bool { return outs[a].ID < outs[b].ID })
-			captured[s] = outs
-		}
-	}
-	return &StreamSnapshot{
-		Version:     sim.SnapshotVersion,
-		Kind:        StreamSnapshotKind,
-		Fingerprint: fingerprintClusterConfig(c.cfg),
-		Servers:     c.cfg.Servers,
-		Epoch:       epoch,
-		JobsFed:     c.fed,
-		JobsHash:    c.hash.h,
-		Captured:    captured,
-		PerServer:   per,
-	}, nil
-}
-
-// parallelServers runs fn(s) for every server across a bounded worker
-// pool of static index shards, returning after all complete. fn must only
-// touch per-server state.
-func parallelServers(workers, servers int, fn func(s int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > servers {
-		workers = servers
-	}
-	if workers <= 1 {
-		for s := 0; s < servers; s++ {
-			fn(s)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*servers/workers, (w+1)*servers/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for s := lo; s < hi; s++ {
-				fn(s)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// runStream is the validated streamed core shared by RunStream and
-// ResumeStream (snap nil for a fresh run).
-func runStream(cfg Config, src job.Source, snap *StreamSnapshot) (Result, error) {
-	c := newStreamCoord(cfg)
-	probes := make([]serverProbes, cfg.Servers)
-	streams := make([]*sim.Stream, cfg.Servers)
-	errs := make([]error, cfg.Servers)
-
-	start := 0
-	if snap != nil {
-		// Replay the consumed prefix through the ingest stage only — no
-		// engine work, no budget windows pushed — to rebuild the
-		// coordinator's routing, hedging, validator, and filler state.
-		for e := 0; e < snap.Epoch; e++ {
-			arr := src.Next(float64(e)*c.epochLen + c.epochLen)
-			if err := c.ingest(e, arr); err != nil {
-				return Result{}, err
-			}
-			if src.Done() {
-				c.noteDone(e)
-			}
-			if c.fillable(e) {
-				c.filler.fill(e, c.demand)
-			}
-		}
-		if c.fed != snap.JobsFed || c.hash.h != snap.JobsHash {
-			return Result{}, cfgerr.New("cluster", "snapshot",
-				"cluster: source does not replay the checkpointed arrival prefix (fed %d jobs, hash %#x; snapshot has %d, %#x) — resume needs the original source", c.fed, c.hash.h, snap.JobsFed, snap.JobsHash)
-		}
-		for s := range streams {
-			st, err := sim.RestoreStream(c.serverCfg(s, probes), c.spec.New(), snap.PerServer[s])
-			if err != nil {
-				return Result{}, err
-			}
-			streams[s] = st
-			if probes[s].sampler != nil {
-				probes[s].sampler.SetBudgetAt(st.BudgetAt)
-			}
-		}
-		if c.hedging {
-			for s, outs := range snap.Captured {
-				for _, o := range outs {
-					c.captured[s][o.ID] = o
-				}
-			}
-		}
-		start = snap.Epoch
-	} else {
-		for s := range streams {
-			st, err := sim.NewStream(c.serverCfg(s, probes), c.spec.New())
-			if err != nil {
-				return Result{}, err
-			}
-			streams[s] = st
-			if probes[s].sampler != nil {
-				probes[s].sampler.SetBudgetAt(st.BudgetAt)
-			}
-		}
-	}
-
-	workers := cfg.Workers
-	for i := start; ; i++ {
-		if c.srcDone && i >= c.n {
-			break
-		}
-		t0 := float64(i) * c.epochLen
-		t1 := t0 + c.epochLen
-		arr := src.Next(t1)
-		if err := c.ingest(i, arr); err != nil {
-			return Result{}, err
-		}
-		if !c.srcDone && src.Done() {
-			c.noteDone(i)
-			for _, st := range streams {
-				st.ExpectMore(false)
-			}
-		}
-		if c.fillable(i) {
-			assigned := c.filler.fill(i, c.demand)
-			for s, st := range streams {
-				st.ExtendBudget(t0, t1, budgetFrac(assigned[s], c.nominal))
-			}
-		}
-		parallelServers(workers, cfg.Servers, func(s int) {
-			if errs[s] != nil {
-				return
-			}
-			if len(c.batches[s]) > 0 {
-				if errs[s] = streams[s].Feed(c.batches[s]); errs[s] != nil {
-					return
-				}
-			}
-			errs[s] = streams[s].Advance(t1)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return Result{}, err
-			}
-		}
-		if sc := cfg.StreamCheckpoint; sc != nil && (i+1)%sc.Every == 0 {
-			ss, err := c.snapshot(streams, i+1)
-			if err != nil {
-				return Result{}, err
-			}
-			if err := sc.Sink(ss); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	if c.filler != nil && c.nBudget > 0 {
-		for _, st := range streams {
-			st.CloseBudget()
-		}
-	}
-	results := make([]sim.Result, cfg.Servers)
-	parallelServers(workers, cfg.Servers, func(s int) {
-		r, err := streams[s].Finish()
-		if err != nil {
-			errs[s] = err
-			return
-		}
-		results[s] = r
-		if probes[s].tracer != nil {
-			probes[s].tracer.End(probes[s].root, r.Span)
-		}
-		if probes[s].sampler != nil {
-			probes[s].sampler.Finish(c.horizon)
-		}
-		if probes[s].col != nil {
-			probes[s].col.Finish(r)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	var shareW []float64
-	if c.filler != nil && c.nBudget > 0 {
-		shareW = c.filler.finishShares(c.nBudget)
-	} else {
-		shareW = make([]float64, cfg.Servers)
-		for s := range shareW {
-			shareW[s] = c.nominal
-		}
-	}
-	res := aggregate(cfg, results, c.jobs, shareW, func(r *Result) {
-		resolveHedgesWith(r, c.pairs, func(s int, id job.ID) (sim.JobOutcome, bool) {
-			o, ok := c.captured[s][id]
-			return o, ok
-		}, func(class string, d float64) float64 { return c.server.QualityFor(class).Eval(d) })
-	})
-	foldInstrumentation(cfg.Instrument, span.NoSpan, probes, &res)
-	return res, nil
 }

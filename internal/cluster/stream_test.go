@@ -1,41 +1,44 @@
 package cluster
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 	"dessched/internal/sim"
+	"dessched/internal/telemetry/span"
 	"dessched/internal/workload"
 	"dessched/internal/workloadspec"
 )
 
-// normalizeStream erases the documented batch/stream divergences before a
-// DeepEqual: Events and Invocation counts (streamed engines keep their
-// quantum alive until the fleet-wide stream is exhausted, so they process
-// extra ticks through the fleet's tail) and the per-server Jobs outcomes
-// (hedged batch runs force CollectJobs; streamed runs never collect).
-func normalizeStream(r Result) Result {
-	r.Events, r.Invocation = 0, 0
+// withoutOutcomes clears the per-server job outcomes, which a hedged run
+// over a job slice collects and a run over a lazy source does not.
+func withoutOutcomes(r Result) Result {
 	per := append([]ServerResult(nil), r.PerServer...)
 	for i := range per {
-		per[i].Result.Events = 0
-		per[i].Result.Invocation = 0
 		per[i].Result.Jobs = nil
 	}
 	r.PerServer = per
 	return r
 }
 
-// TestRunStreamMatchesRun pins the streamed cluster pipeline bit-identical
-// to the batch path — quality, energy, budget shares, per-class and
-// per-server breakdowns, hedge resolution — across dispatch policies,
-// global-budget pressure, faults, classes, and hedging.
+// TestRunStreamMatchesRun pins a run over the lazy workload generator
+// bit-identical to Run over the materialized job slice — quality, energy,
+// event counts, budget shares, per-class and per-server breakdowns, hedge
+// resolution — across dispatch policies, global-budget pressure, faults,
+// and hedging.
 func TestRunStreamMatchesRun(t *testing.T) {
-	jobs := testJobs(t, 120, 3)
+	wl := workload.DefaultConfig(120)
+	wl.Duration = 3
+	jobs, err := workload.Generate(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scenarios := map[string]func() Config{
 		"plain": func() Config { return testConfig(4) },
 		"global-budget": func() Config {
@@ -91,19 +94,23 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunStream(cfg, job.NewSliceSource(jobs))
+			src, err := workload.NewStream(wl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(normalizeStream(got), normalizeStream(want)) {
-				t.Fatalf("streamed cluster result diverged\ngot  %+v\nwant %+v", got, want)
+			got, err := RunStream(cfg, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, withoutOutcomes(want)) {
+				t.Fatalf("lazy-source result diverged from the job slice\ngot  %+v\nwant %+v", got, want)
 			}
 		})
 	}
 }
 
-// TestRunStreamClassesMatchRun covers the classed-stream aggregate on the
-// streamed path (per-class merge order and hedge class subtraction).
+// TestRunStreamClassesMatchRun covers the classed aggregate over a lazy
+// spec stream (per-class merge order and hedge class subtraction).
 func TestRunStreamClassesMatchRun(t *testing.T) {
 	spec := &workloadspec.Spec{
 		Schema:   workloadspec.SchemaV1,
@@ -128,19 +135,23 @@ func TestRunStreamClassesMatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStream(cfg, job.NewSliceSource(jobs))
+	src, err := workloadspec.NewStream(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunStream(cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Classes) == 0 {
-		t.Fatal("streamed run lost the class breakdown")
+		t.Fatal("lazy-source run lost the class breakdown")
 	}
-	if !reflect.DeepEqual(normalizeStream(got), normalizeStream(want)) {
-		t.Fatalf("classed streamed result diverged\ngot  %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got, withoutOutcomes(want)) {
+		t.Fatalf("classed lazy-source result diverged\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
-// TestRunStreamWorkersBitIdentical pins the streamed path's determinism
+// TestRunStreamWorkersBitIdentical pins the epoch loop's determinism
 // across worker counts: the full Result must be byte-for-byte identical
 // for Workers 1, 4, and 16.
 func TestRunStreamWorkersBitIdentical(t *testing.T) {
@@ -229,10 +240,10 @@ func TestRunStreamMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestRunStreamCheckpointResume interrupts a streamed run at an epoch
-// boundary via StreamCheckpoint, resumes from the encoded snapshot with a
-// fresh source, and requires the resumed result bit-identical to the
-// uninterrupted run — including hedge resolution and budget windows.
+// TestRunStreamCheckpointResume interrupts a run at an epoch boundary via
+// StreamCheckpoint, resumes from the encoded snapshot with a fresh source,
+// and requires the resumed result bit-identical to the uninterrupted run —
+// including hedge resolution and budget windows.
 func TestRunStreamCheckpointResume(t *testing.T) {
 	jobs := testJobs(t, 120, 3)
 	base := testConfig(4)
@@ -283,7 +294,7 @@ func TestRunStreamCheckpointResume(t *testing.T) {
 
 // TestResumeStreamRejectsMismatches pins the typed failure modes of
 // ResumeStream: changed configuration, a source that does not replay the
-// checkpointed prefix, and batch/stream snapshot kind confusion.
+// checkpointed prefix, and a retired completed-server snapshot.
 func TestResumeStreamRejectsMismatches(t *testing.T) {
 	jobs := testJobs(t, 100, 2)
 	cfg := testConfig(3)
@@ -325,38 +336,42 @@ func TestResumeStreamRejectsMismatches(t *testing.T) {
 	}
 
 	if _, err := DecodeStreamSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster","servers":3}`)); err == nil {
-		t.Fatal("stream decoder accepted a batch cluster snapshot")
+		t.Fatal("decoder accepted a retired completed-server snapshot")
 	}
 }
 
-// TestRunStreamRejectsBatchKnobs pins the typed rejections of batch-only
-// configuration on the streamed path.
+// TestRunStreamRejectsBatchKnobs pins the slice-vs-lazy probe rule: over a
+// lazy source the probes that grow with the run are rejected with typed
+// errors; over a job slice the same configurations run.
 func TestRunStreamRejectsBatchKnobs(t *testing.T) {
-	jobs := testJobs(t, 50, 1)
-	src := func() job.Source { return job.NewSliceSource(jobs) }
-
-	cfg := testConfig(2)
-	cfg.Server.CollectJobs = true
-	if _, err := RunStream(cfg, src()); err == nil {
-		t.Fatal("RunStream accepted CollectJobs")
+	wl := workload.DefaultConfig(50)
+	wl.Duration = 1
+	jobs, err := workload.Generate(wl)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	cfg = testConfig(2)
-	cfg.Checkpoint = &CheckpointConfig{Sink: func(*Snapshot) error { return nil }}
-	if _, err := RunStream(cfg, src()); err == nil {
-		t.Fatal("RunStream accepted a batch Checkpoint")
+	growing := map[string]func(*Config){
+		"collect-jobs": func(c *Config) { c.Server.CollectJobs = true },
+		"traces":       func(c *Config) { c.Instrument = &Instrument{Traces: true} },
+		"full-tracer":  func(c *Config) { c.Instrument = &Instrument{Tracer: span.New()} },
 	}
-
-	cfg = testConfig(2)
-	cfg.Instrument = &Instrument{Traces: true}
-	if _, err := RunStream(cfg, src()); err == nil {
-		t.Fatal("RunStream accepted Instrument.Traces")
-	}
-
-	cfg = testConfig(2)
-	cfg.StreamCheckpoint = &StreamCheckpointConfig{Every: 1, Sink: func(*StreamSnapshot) error { return nil }}
-	if _, err := Run(cfg, jobs); err == nil {
-		t.Fatal("batch Run accepted StreamCheckpoint")
+	for name, mod := range growing {
+		cfg := testConfig(2)
+		mod(&cfg)
+		src, err := workload.NewStream(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ce *cfgerr.Error
+		if _, err := RunStream(cfg, src); !errors.As(err, &ce) {
+			t.Errorf("%s: RunStream over a lazy source returned %v, want *cfgerr.Error", name, err)
+		}
+		if _, err := RunStream(cfg, job.NewSliceSource(jobs)); err != nil {
+			t.Errorf("%s: RunStream over a job slice: %v", name, err)
+		}
+		if _, err := Run(cfg, jobs); err != nil {
+			t.Errorf("%s: Run: %v", name, err)
+		}
 	}
 }
 
@@ -420,39 +435,9 @@ func TestHedgeReplicasStayInsideBudgetHorizon(t *testing.T) {
 	}
 }
 
-// budgetWindowsFor recomputes the per-server budget windows the given run
-// would install, via the same pipeline Run uses.
+// budgetWindowsFor returns the per-server budget windows the given run
+// installs, as reported with executed-schedule traces on.
 func budgetWindowsFor(t *testing.T, cfg Config, jobs []job.Job) [][]sim.BudgetFault {
 	t.Helper()
-	spec, err := ParsePolicy(cfg.Policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := cfg.Server
-	if spec.Configure != nil {
-		spec.Configure(&server)
-	}
-	sorted := append([]job.Job(nil), jobs...)
-	job.SortByRelease(sorted)
-	outages := make([][][]interval, cfg.Servers)
-	horizon := 0.0
-	for _, j := range sorted {
-		if j.Deadline > horizon {
-			horizon = j.Deadline
-		}
-	}
-	perServer, assign, _ := dispatchJobs(cfg.Dispatch, cfg.Servers, server.Cores, outages, cfg.Classes, sorted)
-	if cfg.Hedge.Enabled() {
-		perServer, _ = applyHedges(cfg.Hedge, cfg.Servers, server.Cores, outages, sorted, assign)
-	}
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = 1.0
-	}
-	headroom := cfg.Headroom
-	if headroom == 0 {
-		headroom = 1.25
-	}
-	sched := epochBudgets(cfg.Servers, server, cfg.GlobalBudget, epoch, headroom, horizon, perServer, outages, false)
-	return sched.windows
+	return budgetRun(t, cfg, jobs).BudgetWindows
 }

@@ -181,7 +181,9 @@ func baseSpeed(cfg *sim.Config) float64 {
 // Plan implements sim.Policy: one DES invocation (§IV-D).
 func (d *DES) Plan(now float64, s *sim.State) {
 	m := len(s.Cores)
-	if d.crr == nil {
+	if d.crr == nil || d.crr.Cores() != m {
+		// A cursor restored from a snapshot taken at another core count
+		// is dropped; one this policy built always matches.
 		d.crr = dist.NewCRR(m)
 	}
 	if d.plainRR {

@@ -23,21 +23,18 @@ import (
 // beyond them are rejected up front with invalid_config instead of tying a
 // worker slot up for minutes.
 const (
-	maxClusterServers = 64
+	// Fleet runs pull arrivals lazily and fold results per epoch, so
+	// memory stays bounded by the fleet size rather than the job count.
+	maxClusterServers = 1024
 	maxSweepCells     = 1024
 	maxSweepServers   = 16
-
-	// Streamed cluster runs pull arrivals lazily and fold results per
-	// epoch, so memory stays bounded by the fleet size rather than the job
-	// count — the endpoint can afford a much larger fleet ceiling.
-	maxClusterStreamServers = 1024
 )
 
 // ClusterSimRequest is the body of POST /v1/cluster/simulate: one fleet
 // run — M servers behind a dispatcher, optionally sharing a global power
 // budget through the hierarchical water-filling stage.
 type ClusterSimRequest struct {
-	Servers  int    `json:"servers"`  // fleet size, required, <= 64
+	Servers  int    `json:"servers"`  // fleet size, required, <= 1024
 	Policy   string `json:"policy"`   // per-server policy spec (default "des")
 	Dispatch string `json:"dispatch"` // round-robin | least-loaded | hash | by-class
 
@@ -47,7 +44,7 @@ type ClusterSimRequest struct {
 	// GlobalBudget enables the hierarchy when positive; 0 leaves every
 	// server at its nominal budget.
 	GlobalBudget float64 `json:"global_budget_w"`
-	Epoch        float64 `json:"epoch_s"` // budget-reflow granularity, default 1
+	Epoch        float64 `json:"epoch_s"` // dispatch and budget-reflow granularity, default 1; duration_s/epoch_s <= cluster.MaxEpochs
 
 	Rate     float64  `json:"rate"` // fleet-wide arrival rate, required unless workload is set
 	Duration float64  `json:"duration_s"`
@@ -82,11 +79,9 @@ type ClusterSimRequest struct {
 	// scheduler engines.
 	Admission *AdmissionJSON `json:"admission,omitempty"`
 
-	// Stream runs the fleet through the bounded-memory streamed pipeline:
-	// arrivals are pulled lazily per dispatch epoch and per-epoch results
-	// fold into running totals, so the job slice is never materialized.
-	// Results are bit-identical to the batch path (see docs/SCALE.md), and
-	// the server ceiling rises from 64 to 1024.
+	// Stream is accepted and ignored: every fleet run pulls its arrivals
+	// lazily (see docs/SCALE.md). It stays so that older request bodies
+	// still decode (unknown fields are rejected).
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -146,13 +141,9 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 	fail := func(err error) (ClusterSimResponse, ledger.Entry, error) {
 		return ClusterSimResponse{}, ledger.Entry{}, err
 	}
-	maxServers := maxClusterServers
-	if req.Stream {
-		maxServers = maxClusterStreamServers
-	}
-	if req.Servers <= 0 || req.Servers > maxServers {
+	if req.Servers <= 0 || req.Servers > maxClusterServers {
 		return fail(cfgerr.New("httpapi", "servers",
-			"cluster: servers must be in [1, %d], got %d", maxServers, req.Servers))
+			"cluster: servers must be in [1, %d], got %d", maxClusterServers, req.Servers))
 	}
 	if req.Workload == nil && req.Rate <= 0 {
 		return fail(cfgerr.New("httpapi", "rate", "cluster: rate must be positive, got %g", req.Rate))
@@ -182,9 +173,8 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 	}
 
 	// Either the default single-rate stream or an inline declarative
-	// spec; horizon is the stream length the chaos sampler covers.
-	// Streamed requests build a lazy arrival source instead of a slice.
-	var jobs []job.Job
+	// spec, pulled lazily; horizon is the stream length the chaos sampler
+	// covers.
 	var src job.Source
 	horizon := 30.0
 	if req.Workload != nil {
@@ -209,11 +199,7 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 			return fail(err)
 		}
 		server.ClassPriority = req.Workload.PriorityByClass()
-		if req.Stream {
-			if src, err = workloadspec.NewStream(req.Workload); err != nil {
-				return fail(err)
-			}
-		} else if jobs, err = workloadspec.Compile(req.Workload); err != nil {
+		if src, err = workloadspec.NewStream(req.Workload); err != nil {
 			return fail(err)
 		}
 		horizon = req.Workload.Duration
@@ -230,14 +216,13 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 		if req.Partial != nil {
 			wl.PartialFraction = *req.Partial
 		}
-		if req.Stream {
-			if src, err = workload.NewStream(wl); err != nil {
-				return fail(err)
-			}
-		} else if jobs, err = workload.Generate(wl); err != nil {
+		if src, err = workload.NewStream(wl); err != nil {
 			return fail(err)
 		}
 		horizon = wl.Duration
+	}
+	if err := checkEpochs(horizon, req.Epoch); err != nil {
+		return fail(err)
 	}
 
 	cfg := cluster.Config{
@@ -272,12 +257,7 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 		cfg.Faults = faults
 	}
 
-	var res cluster.Result
-	if req.Stream {
-		res, err = cluster.RunStream(cfg, src)
-	} else {
-		res, err = cluster.Run(cfg, jobs)
-	}
+	res, err := cluster.RunStream(cfg, src)
 	if err != nil {
 		return fail(err)
 	}
@@ -337,9 +317,6 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 	if req.GlobalBudget > 0 {
 		entry.BudgetW = req.GlobalBudget
 	}
-	if req.Stream {
-		entry.Note = "streamed"
-	}
 	if req.Workload != nil {
 		entry.Workload = req.Workload.Name
 		if raw, err := json.Marshal(req.Workload); err == nil {
@@ -347,6 +324,21 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 		}
 	}
 	return resp, entry, nil
+}
+
+// checkEpochs rejects, before any work, a fleet run whose duration spans
+// more than cluster.MaxEpochs dispatch epochs of epoch seconds (0 = the
+// 1 s default). A horizon stretched by trailing deadlines can still hit
+// the bound mid-run, which also fails with a typed error.
+func checkEpochs(duration, epoch float64) error {
+	if epoch <= 0 {
+		epoch = 1
+	}
+	if duration/epoch > cluster.MaxEpochs {
+		return cfgerr.New("httpapi", "epoch_s",
+			"cluster: duration_s/epoch_s = %g/%g spans more than %d dispatch epochs; raise epoch_s", duration, epoch, cluster.MaxEpochs)
+	}
+	return nil
 }
 
 // SweepRequest is the body of POST /v1/sweep: a parameter grid executed

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -107,24 +108,20 @@ func TestClusterSimulateStreamed(t *testing.T) {
 	srv := server(t)
 	base := `"servers": 4, "cores": 4, "budget_w": 80, "rate": 120,
 		"duration_s": 10, "dispatch": "rr", "global_budget_w": 240`
-	respA, batch := postJSON(t, srv.URL+"/v1/cluster/simulate", `{`+base+`}`)
+	respA, plain := postJSON(t, srv.URL+"/v1/cluster/simulate", `{`+base+`}`)
 	respB, streamed := postJSON(t, srv.URL+"/v1/cluster/simulate", `{`+base+`, "stream": true}`)
 	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d / %d: %s", respA.StatusCode, respB.StatusCode, streamed)
 	}
-	if !bytes.Equal(batch, streamed) {
-		t.Errorf("streamed response diverged from batch\nbatch    %s\nstreamed %s", batch, streamed)
+	if !bytes.Equal(plain, streamed) {
+		t.Errorf("the no-op stream field changed the response\nplain    %s\nstreamed %s", plain, streamed)
 	}
 
-	// 128 servers: over the batch ceiling, inside the streamed one.
+	// Every fleet request gets the 1,024-server ceiling.
 	big := `"servers": 128, "cores": 4, "budget_w": 80, "rate": 240, "duration_s": 2`
 	resp, body := postJSON(t, srv.URL+"/v1/cluster/simulate", `{`+big+`}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("batch 128-server fleet accepted: %d %s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, srv.URL+"/v1/cluster/simulate", `{`+big+`, "stream": true}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("streamed 128-server fleet rejected: %d %s", resp.StatusCode, body)
+		t.Fatalf("128-server fleet rejected: %d %s", resp.StatusCode, body)
 	}
 	var out ClusterSimResponse
 	if err := json.Unmarshal(body, &out); err != nil {
@@ -132,6 +129,33 @@ func TestClusterSimulateStreamed(t *testing.T) {
 	}
 	if out.Servers != 128 || len(out.PerServer) != 128 {
 		t.Errorf("fleet shape: servers=%d per_server=%d", out.Servers, len(out.PerServer))
+	}
+	resp, body = postJSON(t, srv.URL+"/v1/cluster/simulate", `{"servers": 1025, "rate": 60, "stream": true}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1025-server fleet accepted: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestClusterSimulateRejectsTooManyEpochs: a duration spanning more than
+// cluster.MaxEpochs dispatch epochs is refused up front with a 400 on both
+// fleet endpoints, instead of stepping through millions of epochs.
+func TestClusterSimulateRejectsTooManyEpochs(t *testing.T) {
+	srv := server(t)
+	resp, body := postJSON(t, srv.URL+"/v1/cluster/simulate",
+		`{"servers": 2, "rate": 10, "duration_s": 600, "epoch_s": 0.001}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "epoch_s") {
+		t.Errorf("/v1/cluster/simulate: status %d %s, want a 400 naming epoch_s", resp.StatusCode, body)
+	}
+	full := httptest.NewServer(NewHandler(Options{}))
+	defer full.Close()
+	sresp, err := http.Get(full.URL + "/v1/stream?servers=2&rate=10&duration_s=600&epoch_s=0.001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbody, _ := io.ReadAll(sresp.Body)
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusBadRequest || !strings.Contains(string(sbody), "epoch_s") {
+		t.Errorf("/v1/stream: status %d %s, want a 400 naming epoch_s", sresp.StatusCode, sbody)
 	}
 }
 
@@ -154,7 +178,7 @@ func TestClusterSimulateValidation(t *testing.T) {
 		code string
 	}{
 		{"no servers", `{"rate": 60}`, "invalid_config"},
-		{"too many servers", `{"servers": 1000, "rate": 60}`, "invalid_config"},
+		{"too many servers", `{"servers": 1025, "rate": 60}`, "invalid_config"},
 		{"no rate", `{"servers": 2}`, "invalid_config"},
 		{"bad dispatch", `{"servers": 2, "rate": 60, "dispatch": "nope"}`, "invalid_config"},
 		{"bad policy", `{"servers": 2, "rate": 60, "policy": "nope"}`, "invalid_config"},

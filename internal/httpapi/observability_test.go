@@ -13,10 +13,10 @@ import (
 	"dessched/internal/telemetry/ledger"
 )
 
-// TestStreamedClusterOverSSE: stream=true drives the bounded-memory
-// cluster pipeline (workload.NewStream → cluster.RunStream) end to end
-// over SSE, and its done summary is bit-identical to the batch path —
-// the HTTP face of the streamed/batch identity the engine guarantees.
+// TestStreamedClusterOverSSE: every /v1/stream run drives the lazy fleet
+// pipeline (workload.NewStream → cluster.RunStream) end to end over SSE;
+// stream=true is a documented no-op whose done summary is bit-identical to
+// the plain request's.
 func TestStreamedClusterOverSSE(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Options{}))
 	defer srv.Close()
@@ -56,7 +56,7 @@ func TestStreamedClusterOverSSE(t *testing.T) {
 		t.Errorf("streamed SSE run diverged from batch:\nbatch    %+v\nstreamed %+v", batch, streamed)
 	}
 
-	// A malformed stream flag is a 400, not a silent batch run.
+	// A malformed stream flag is still a 400.
 	resp, err := http.Get(srv.URL + "/v1/stream?servers=2&rate=120&duration_s=5&stream=maybe")
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRequestIDsAndLedger(t *testing.T) {
 		t.Errorf("note %q does not name request %s", e.Note, id)
 	}
 
-	// The streamed SSE path records too, tagged as such.
+	// The SSE path records too, with the request id in the note.
 	sresp, err := http.Get(srv.URL + "/v1/stream?servers=2&rate=60&duration_s=3&stream=true")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRequestIDsAndLedger(t *testing.T) {
 		t.Fatalf("ledger entries = %d after stream, want 2", len(entries))
 	}
 	se := entries[1]
-	if se.Cmd != "http:/v1/stream" || !strings.Contains(se.Note, "streamed") || se.Servers != 2 {
+	if se.Cmd != "http:/v1/stream" || !strings.Contains(se.Note, "request ") || se.Servers != 2 {
 		t.Errorf("stream entry wrong: %+v", se)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"dessched/internal/cfgerr"
 	"dessched/internal/cluster"
-	"dessched/internal/job"
 	"dessched/internal/sim"
 	"dessched/internal/telemetry"
 	"dessched/internal/telemetry/ledger"
@@ -98,7 +97,6 @@ type streamParams struct {
 	seed         uint64
 	chaosSeed    *uint64
 	throttle     time.Duration
-	stream       bool
 }
 
 func parseStreamParams(r *http.Request) (streamParams, error) {
@@ -159,12 +157,12 @@ func parseStreamParams(r *http.Request) (streamParams, error) {
 		}
 		p.throttle = time.Duration(v) * time.Millisecond
 	}
+	// stream= is a documented no-op (every fleet run pulls its arrivals
+	// lazily), still parsed so a malformed value keeps failing loudly.
 	if s := q.Get("stream"); s != "" {
-		v, err := strconv.ParseBool(s)
-		if err != nil {
+		if _, err := strconv.ParseBool(s); err != nil {
 			return p, cfgerr.New("httpapi", "stream", "stream: bad stream %q", s)
 		}
-		p.stream = v
 	}
 	p.policy = q.Get("policy")
 	var err error
@@ -184,7 +182,7 @@ func parseStreamParams(r *http.Request) (streamParams, error) {
 	if p.epoch < minStreamEpoch {
 		return p, cfgerr.New("httpapi", "epoch_s", "stream: epoch_s must be at least %g, got %g", minStreamEpoch, p.epoch)
 	}
-	return p, nil
+	return p, checkEpochs(p.duration, p.epoch)
 }
 
 // streamDone is the payload of the final "done" frame.
@@ -299,9 +297,6 @@ func StreamHandler(o Options) http.Handler {
 						Deadlined:   out.res.Deadlined,
 						Shed:        out.res.Shed,
 					}
-					if p.stream {
-						entry.Note = "streamed"
-					}
 					api{o: o}.record(r, entry)
 					_ = writeFrame("done", streamDone{
 						Servers:       out.res.Servers,
@@ -369,14 +364,10 @@ func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesReco
 	if p.seed > 0 {
 		wl.Seed = p.seed
 	}
-	var jobs []job.Job
-	if !p.stream {
-		var err error
-		if jobs, err = workload.Generate(wl); err != nil {
-			return cluster.Result{}, err
-		}
+	src, err := workload.NewStream(wl)
+	if err != nil {
+		return cluster.Result{}, err
 	}
-
 	cfg := cluster.Config{
 		Servers:      p.servers,
 		Server:       server,
@@ -393,22 +384,7 @@ func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesReco
 		}
 		cfg.Faults = faults
 	}
-	if p.stream {
-		// stream=true drives the bounded-memory streamed pipeline: the
-		// arrival stream is pulled lazily per dispatch epoch instead of
-		// materializing the whole job slice, and the per-epoch samples fan
-		// into the SSE channel exactly as in the batch path.
-		src, err := workload.NewStream(wl)
-		if err != nil {
-			return cluster.Result{}, err
-		}
-		res, err := cluster.RunStream(cfg, src)
-		if err != nil {
-			return cluster.Result{}, fmt.Errorf("stream: %w", err)
-		}
-		return res, nil
-	}
-	res, err := cluster.Run(cfg, jobs)
+	res, err := cluster.RunStream(cfg, src)
 	if err != nil {
 		return cluster.Result{}, fmt.Errorf("stream: %w", err)
 	}

@@ -223,14 +223,21 @@ func TestStreamRespectsRequestTimeout(t *testing.T) {
 }
 
 // slowWriter simulates a stalled client: every write sleeps, so the
-// handler's consumer loop falls behind the engine.
+// handler's consumer loop falls behind the engine. The first write (the
+// retry hint, sent after the engine starts) stalls longer, so the engine
+// gets ahead of the consumer however fast the host runs it.
 type slowWriter struct {
 	*httptest.ResponseRecorder
-	delay time.Duration
+	stall, delay time.Duration
+	wrote        bool
 }
 
 func (w *slowWriter) Write(p []byte) (int, error) {
-	time.Sleep(w.delay)
+	d := w.delay
+	if !w.wrote {
+		d, w.wrote = w.stall, true
+	}
+	time.Sleep(d)
 	return w.ResponseRecorder.Write(p)
 }
 
@@ -243,7 +250,7 @@ func TestStreamDropsFramesForSlowClient(t *testing.T) {
 	defer func() { streamSendBuffer = old }()
 
 	h := StreamHandler(Options{})
-	w := &slowWriter{ResponseRecorder: httptest.NewRecorder(), delay: 3 * time.Millisecond}
+	w := &slowWriter{ResponseRecorder: httptest.NewRecorder(), stall: 500 * time.Millisecond, delay: 3 * time.Millisecond}
 	r := httptest.NewRequest("GET", "/v1/stream?rate=240&duration_s=30&seed=5", nil)
 
 	doneCh := make(chan struct{})

@@ -27,6 +27,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -283,11 +284,24 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 }
 
 // validate checks the snapshot's internal consistency: version tag, index
-// ranges, and counter sanity. It does not need (and cannot check) the
+// ranges, counter sanity, and the invariants the engine keeps between
+// events — a snapshot is input from outside the program, and state the
+// engine could never have written (an in-flight job without its deadline
+// event, a deadline event off its job's deadline, negative progress, an
+// event before the checkpoint instant) would otherwise surface later as a
+// panic or a run that never ends. It does not need (and cannot check) the
 // configuration — Resume does that via the fingerprint.
 func (s *Snapshot) validate() error {
 	bad := func(reason string, args ...any) error {
 		return cfgerr.New("sim", "checkpoint", "sim: invalid snapshot: "+reason, args...)
+	}
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		return true
 	}
 	if s.Version != SnapshotVersion {
 		return bad("version %q, want %q", s.Version, SnapshotVersion)
@@ -295,10 +309,11 @@ func (s *Snapshot) validate() error {
 	if len(s.Cores) == 0 {
 		return bad("no cores")
 	}
-	if math.IsNaN(s.Now) || math.IsInf(s.Now, 0) {
-		return bad("non-finite checkpoint time %g", s.Now)
+	if !finite(s.Now, s.FirstRelease) {
+		return bad("non-finite checkpoint time %g or first release %g", s.Now, s.FirstRelease)
 	}
 	n := len(s.Jobs)
+	undeparted := 0
 	for i, j := range s.Jobs {
 		if j.Core < -1 || j.Core >= len(s.Cores) {
 			return bad("job %d on core %d of %d", i, j.Core, len(s.Cores))
@@ -309,22 +324,87 @@ func (s *Snapshot) validate() error {
 		if j.Reason < int(NotDeparted) || j.Reason > int(Abandoned) {
 			return bad("job %d reason %d out of range", i, j.Reason)
 		}
+		if (j.Phase == int(PhaseDeparted)) != (j.Reason != int(NotDeparted)) {
+			return bad("job %d phase %d disagrees with departure reason %d", i, j.Phase, j.Reason)
+		}
+		jj := job.Job{ID: j.ID, Release: j.Release, Deadline: j.Deadline, Demand: j.Demand}
+		if err := jj.Validate(); err != nil || !finite(j.Release, j.Deadline) {
+			return bad("job %d window [%g, %g] or demand %g invalid", i, j.Release, j.Deadline, j.Demand)
+		}
+		if !finite(j.Done, j.DepartAt, j.Quality) || j.Done < 0 || j.Attempts < 0 {
+			return bad("job %d progress %g, departure %g, quality %g, or attempts %d invalid", i, j.Done, j.DepartAt, j.Quality, j.Attempts)
+		}
+		if j.Reason == int(NotDeparted) {
+			undeparted++
+			if j.Deadline < s.Now {
+				return bad("job %d still in flight at %g past its deadline %g", i, s.Now, j.Deadline)
+			}
+		}
+	}
+	// In-flight jobs carry distinct IDs (plans name jobs by ID), each sits
+	// in the queue or on the core its Core field names at most once, and
+	// every dispatched one is listed on its core.
+	inFlight := make(map[job.ID]bool, undeparted)
+	placed := make([]bool, n)
+	dispatched := 0
+	for _, j := range s.Jobs {
+		if j.Reason != int(NotDeparted) {
+			continue
+		}
+		if inFlight[j.ID] {
+			return bad("two in-flight jobs share ID %d", j.ID)
+		}
+		inFlight[j.ID] = true
+		if j.Core >= 0 {
+			dispatched++
+		}
+	}
+	place := func(ji, core int, where string) error {
+		if ji < 0 || ji >= n {
+			return bad("%s index %d of %d jobs", where, ji, n)
+		}
+		if placed[ji] || s.Jobs[ji].Reason != int(NotDeparted) || s.Jobs[ji].Core != core {
+			return bad("%s lists job %d, which is departed, listed twice, or on core %d", where, ji, s.Jobs[ji].Core)
+		}
+		placed[ji] = true
+		return nil
 	}
 	for _, qi := range s.Queue {
-		if qi < 0 || qi >= n {
-			return bad("queue index %d of %d jobs", qi, n)
+		if err := place(qi, -1, "queue"); err != nil {
+			return err
 		}
+	}
+	listed := 0
+	for ci, c := range s.Cores {
+		for _, ji := range c.Jobs {
+			if err := place(ji, ci, fmt.Sprintf("core %d", ci)); err != nil {
+				return err
+			}
+			listed++
+		}
+	}
+	if listed != dispatched {
+		return bad("%d in-flight jobs name a core, but the cores list %d", dispatched, listed)
 	}
 	for ci, c := range s.Cores {
 		if c.PlanCursor < 0 || c.PlanCursor > len(c.Plan) {
 			return bad("core %d plan cursor %d of %d segments", ci, c.PlanCursor, len(c.Plan))
 		}
-		for _, ji := range c.Jobs {
-			if ji < 0 || ji >= n {
-				return bad("core %d job index %d of %d jobs", ci, ji, n)
+		if !finite(c.SettledTo, c.BusyTime, c.Energy) || c.PlanVersion < 0 {
+			return bad("core %d accounting invalid", ci)
+		}
+		for _, seg := range c.Plan {
+			if !finite(seg.Start, seg.End, seg.Speed) || seg.End < seg.Start || seg.Speed < 0 {
+				return bad("core %d plan segment [%g, %g] at speed %g invalid", ci, seg.Start, seg.End, seg.Speed)
 			}
 		}
 	}
+	// Events the engine still has to process lie at or after the
+	// checkpoint instant; only a drained streamed session keeps earlier
+	// ones, and it never pops them. Every in-flight job owns one deadline
+	// event at exactly its deadline.
+	drained := s.Stream != nil && s.Stream.Drained
+	hasDeadline := make([]bool, n)
 	for i, ev := range s.Events {
 		if ev.Kind > uint8(evkCheckpoint) {
 			return bad("event %d kind %d unknown", i, ev.Kind)
@@ -335,6 +415,9 @@ func (s *Snapshot) validate() error {
 		if ev.Core < -1 || ev.Core >= len(s.Cores) {
 			return bad("event %d core index %d of %d cores", i, ev.Core, len(s.Cores))
 		}
+		if !finite(ev.T) || (ev.T < s.Now && !drained) {
+			return bad("event %d at %g, before the checkpoint instant %g or not finite", i, ev.T, s.Now)
+		}
 		k := evKind(ev.Kind)
 		if (k == evkArrival || k == evkDeadline || k == evkRetry) && ev.Job < 0 {
 			return bad("event %d kind %s without a job", i, eventKindName(k))
@@ -342,9 +425,20 @@ func (s *Snapshot) validate() error {
 		if k == evkSegment && ev.Core < 0 {
 			return bad("event %d segment without a core", i)
 		}
+		if k == evkDeadline {
+			if ev.T != s.Jobs[ev.Job].Deadline {
+				return bad("event %d: deadline event at %g, job %d's deadline is %g", i, ev.T, ev.Job, s.Jobs[ev.Job].Deadline)
+			}
+			hasDeadline[ev.Job] = true
+		}
 	}
-	if s.Counters.Undeparted < 0 || s.Counters.Undeparted > n {
-		return bad("undeparted %d of %d jobs", s.Counters.Undeparted, n)
+	for i, j := range s.Jobs {
+		if j.Reason == int(NotDeparted) && !hasDeadline[i] {
+			return bad("job %d is in flight without a deadline event", i)
+		}
+	}
+	if s.Counters.Undeparted != undeparted {
+		return bad("undeparted counter %d, but %d jobs are in flight", s.Counters.Undeparted, undeparted)
 	}
 	if s.Counters.PendingArrivals < 0 || s.Counters.PendingArrivals > n {
 		return bad("pending arrivals %d of %d jobs", s.Counters.PendingArrivals, n)

@@ -9,6 +9,7 @@
 package sim
 
 import (
+	"math"
 	"sort"
 
 	"dessched/internal/cfgerr"
@@ -129,6 +130,9 @@ func RestoreStream(cfg Config, p Policy, snap *Snapshot) (*Stream, error) {
 	if ss.BaseWindows != len(cfg.BudgetFaults) {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot expects %d base budget windows, config has %d", ss.BaseWindows, len(cfg.BudgetFaults))
 	}
+	if err := ss.validate(snap.Now); err != nil {
+		return nil, err
+	}
 	full := cfg
 	full.BudgetFaults = append(append([]BudgetFault(nil), cfg.BudgetFaults...), ss.Appended...)
 	e, err := restoreEngine(full, p, snap)
@@ -168,4 +172,37 @@ func RestoreStream(cfg Config, p Policy, snap *Snapshot) (*Stream, error) {
 	}
 	st.validator.Restore(ss.Validator)
 	return st, nil
+}
+
+// validate checks the session state against what Snapshot and
+// ExtendBudget can produce: the session sits at the checkpoint instant, an
+// open budget window is the last appended one, and every appended window
+// and fold figure is well formed.
+func (ss *StreamState) validate(now float64) error {
+	bad := func(reason string, args ...any) error {
+		return cfgerr.New("sim", "checkpoint", "sim: invalid stream snapshot: "+reason, args...)
+	}
+	if ss.AdvancedTo != now {
+		return bad("session advanced to %g, snapshot taken at %g", ss.AdvancedTo, now)
+	}
+	if ss.Fed < 0 {
+		return bad("%d jobs fed", ss.Fed)
+	}
+	for _, w := range ss.Appended {
+		if math.IsNaN(w.Fraction) || math.IsInf(w.End, 0) || w.Validate() != nil {
+			return bad("budget window [%g, %g] at fraction %g invalid", w.Start, w.End, w.Fraction)
+		}
+	}
+	if !(ss.OpenFrac >= 0 && ss.OpenFrac <= 1) {
+		return bad("open budget fraction %g outside [0, 1]", ss.OpenFrac)
+	}
+	if ss.OpenFrac != 1 && (len(ss.Appended) == 0 || ss.Appended[len(ss.Appended)-1].Fraction != ss.OpenFrac) {
+		return bad("budget window at fraction %g held open, but the last appended window differs", ss.OpenFrac)
+	}
+	f := ss.Fold
+	if math.IsNaN(f.Quality) || math.IsInf(f.Quality, 0) || math.IsNaN(f.MaxQuality) || math.IsInf(f.MaxQuality, 0) ||
+		f.Arrived < 0 || f.Completed < 0 || f.Deadlined < 0 || f.Discarded < 0 || f.Abandoned < 0 {
+		return bad("result fold invalid")
+	}
+	return nil
 }

@@ -250,15 +250,6 @@ type Options struct {
 
 	// Telemetry attaches a metrics snapshot to every cell.
 	Telemetry bool
-
-	// Stream runs every cluster cell through the bounded-memory streamed
-	// pipeline (cluster.RunStream) over a lazy arrival source instead of
-	// materializing each cell's job stream. Memory per cell is then
-	// O(arrival window), so long-horizon fleet grids fit in RAM. Requires
-	// Grid.Servers > 1. Quality/energy results are identical to the batch
-	// path; only the engine-lifetime Events counter can differ for servers
-	// idling through the fleet tail (see docs/SCALE.md).
-	Stream bool
 }
 
 // Report is a completed sweep.
@@ -279,10 +270,6 @@ func Run(ctx context.Context, g Grid, opts Options) (Report, error) {
 		return Report{}, err
 	}
 	g = g.withDefaults()
-	if opts.Stream && g.Servers < 2 {
-		return Report{}, cfgerr.New("sweep", "stream",
-			"sweep: streamed execution applies to cluster cells; need servers > 1, got %d", g.Servers)
-	}
 	cells := g.Cells()
 
 	workers := opts.Workers
@@ -350,9 +337,9 @@ func Run(ctx context.Context, g Grid, opts Options) (Report, error) {
 	return rep, nil
 }
 
-// cellSource builds the cell's lazy arrival source for streamed execution
-// — the same generator the batch path materializes from, pulled one
-// dispatch epoch at a time.
+// cellSource builds a cluster cell's lazy arrival source — the same
+// generator a single-server cell materializes from, pulled one dispatch
+// epoch at a time, so a cell's memory stays O(arrival window).
 func cellSource(g Grid, c Cell) (job.Source, error) {
 	if g.Workload != nil {
 		spec := *g.Workload
@@ -380,10 +367,10 @@ func runOne(ctx context.Context, g Grid, c Cell, opts Options) (CellResult, erro
 			return CellResult{}, fmt.Errorf("cell %d: %w", c.Index, err)
 		}
 	}
-	// Streamed cluster cells never materialize their workload; everything
-	// else compiles/generates the cell's job stream up front.
+	// Cluster cells pull their workload lazily (cellSource); single-server
+	// cells compile/generate the cell's job stream up front.
 	var jobs []job.Job
-	if !(opts.Stream && g.Servers > 1) {
+	if g.Servers <= 1 {
 		if g.Workload != nil {
 			spec := *g.Workload
 			spec.Seed = c.Seed
@@ -436,17 +423,11 @@ func runOne(ctx context.Context, g Grid, c Cell, opts Options) (CellResult, erro
 			reg = telemetry.NewRegistry()
 			ccfg.Instrument = &cluster.Instrument{Registry: reg}
 		}
-		var res cluster.Result
-		var err error
-		if opts.Stream {
-			var src job.Source
-			if src, err = cellSource(g, c); err != nil {
-				return CellResult{}, fmt.Errorf("cell %d: %w", c.Index, err)
-			}
-			res, err = cluster.RunStream(ccfg, src)
-		} else {
-			res, err = cluster.Run(ccfg, jobs)
+		src, err := cellSource(g, c)
+		if err != nil {
+			return CellResult{}, fmt.Errorf("cell %d: %w", c.Index, err)
 		}
+		res, err := cluster.RunStream(ccfg, src)
 		if err != nil {
 			return CellResult{}, fmt.Errorf("cell %d: %w", c.Index, err)
 		}

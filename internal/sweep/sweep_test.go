@@ -7,6 +7,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dessched/internal/cluster"
+	"dessched/internal/sim"
+	"dessched/internal/workload"
 )
 
 func smallGrid() Grid {
@@ -116,10 +120,9 @@ func TestClusterCellsDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamedClusterCellsMatchBatch pins streamed sweep execution to the
-// batch path: identical quality/energy bits per cell (only the
-// engine-lifetime Events counter may differ — see docs/SCALE.md), and a
-// single-server grid must reject the option.
+// TestStreamedClusterCellsMatchBatch pins the sweep's cluster cells, which
+// pull their workload lazily, to cluster.Run over the materialized cell
+// workload: identical quality/energy bits and counters per cell.
 func TestStreamedClusterCellsMatchBatch(t *testing.T) {
 	g := Grid{
 		Rates:            []float64{120},
@@ -131,28 +134,35 @@ func TestStreamedClusterCellsMatchBatch(t *testing.T) {
 		Servers:          4,
 		GlobalBudgetFrac: 0.7,
 	}
-	batch, err := Run(context.Background(), g, Options{Workers: 2})
+	streamed, err := Run(context.Background(), g, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := Run(context.Background(), g, Options{Workers: 2, Stream: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range batch.Cells {
-		a, b := batch.Cells[j], streamed.Cells[j]
+	for j, b := range streamed.Cells {
+		wl := workload.DefaultConfig(b.Rate)
+		wl.Duration = g.Duration
+		wl.Seed = b.Seed
+		jobs, err := workload.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := sim.PaperConfig()
+		server.Cores = b.Cores
+		server.Budget = b.Budget
+		a, err := cluster.Run(cluster.Config{
+			Servers: g.Servers, Server: server, Policy: b.Policy,
+			GlobalBudget: g.GlobalBudgetFrac * float64(g.Servers) * b.Budget,
+		}, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Float64bits(a.Quality) != math.Float64bits(b.Quality) ||
 			math.Float64bits(a.Energy) != math.Float64bits(b.Energy) ||
 			math.Float64bits(a.NormQuality) != math.Float64bits(b.NormQuality) ||
 			a.Arrived != b.Arrived || a.Completed != b.Completed ||
-			a.Deadlined != b.Deadlined || a.Shed != b.Shed {
-			t.Errorf("cell %d: streamed result diverged from batch\nbatch    %+v\nstreamed %+v", j, a, b)
+			a.Deadlined != b.Deadlined || a.Shed != b.Shed || a.Events != b.Events {
+			t.Errorf("cell %d: sweep cell diverged from cluster.Run\nrun  %+v\ncell %+v", j, a, b)
 		}
-	}
-
-	g.Servers = 1
-	if _, err := Run(context.Background(), g, Options{Stream: true}); err == nil {
-		t.Fatal("streamed single-server grid accepted")
 	}
 }
 

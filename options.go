@@ -326,11 +326,12 @@ func applyOptions(cfg sim.Config, opts []SimOption) (sim.Config, []func(Result),
 	return cfg, s.finish, nil
 }
 
-// SimulateCluster runs a whole fleet: the dispatcher spreads jobs across
-// the servers, the hierarchical water-filling stage partitions the global
-// power budget per tick-epoch, and every server runs the single-server
-// engine in parallel. Results are bit-identical for any ClusterConfig
-// .Workers value. Of the simulation options only WithContext applies at
+// SimulateCluster runs a whole fleet over a job slice — SimulateClusterStream
+// over NewSliceJobSource(jobs): per dispatch epoch the dispatcher spreads
+// the arrivals across the servers, the hierarchical water-filling stage
+// partitions the global power budget, and every server's engine advances
+// in parallel. Results are bit-identical for any ClusterConfig.Workers
+// value. Of the simulation options only WithContext applies at
 // fleet scope; per-run hooks (observers, recorders, telemetry, chaos) are
 // rejected with a typed error — use ClusterConfig.Faults for fleet chaos.
 func SimulateCluster(cfg ClusterConfig, jobs []Job, opts ...SimOption) (ClusterResult, error) {

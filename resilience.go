@@ -1,6 +1,6 @@
 // Fault-tolerance facade: repair models, the retry lifecycle, hedged
-// dispatch, checkpoint/resume for both the single-server engine and the
-// cluster, and the runtime invariant harness.
+// dispatch, single-server checkpoint/resume (fleet checkpoints are epoch
+// snapshots, see stream.go), and the runtime invariant harness.
 package dessched
 
 import (
@@ -31,13 +31,6 @@ type (
 	// SimCheckpointConfig asks the engine to snapshot itself every Every
 	// simulated seconds (ServerConfig.Checkpoint).
 	SimCheckpointConfig = sim.CheckpointConfig
-
-	// ClusterSnapshot is a resumable image of a partially completed cluster
-	// run: the finished servers' results (ClusterConfig.Checkpoint).
-	ClusterSnapshot = cluster.Snapshot
-	// ClusterCheckpointConfig delivers a ClusterSnapshot after every
-	// completed server (ClusterConfig.Checkpoint).
-	ClusterCheckpointConfig = cluster.CheckpointConfig
 
 	// HedgeConfig duplicates near-deadline jobs to a second server with
 	// first-completion-wins resolution (ClusterConfig.Hedge).
@@ -98,18 +91,6 @@ func DecodeSimSnapshot(b []byte) (*SimSnapshot, error) { return sim.DecodeSnapsh
 // Mismatched physics, policy, or workload are rejected with a typed error.
 func ResumeSimulation(cfg ServerConfig, p Policy, snap *SimSnapshot) (Result, error) {
 	return sim.Resume(cfg, p, snap)
-}
-
-// EncodeClusterSnapshot serializes a cluster snapshot as versioned JSON.
-func EncodeClusterSnapshot(s *ClusterSnapshot) ([]byte, error) { return cluster.EncodeSnapshot(s) }
-
-// DecodeClusterSnapshot parses and validates a cluster snapshot.
-func DecodeClusterSnapshot(b []byte) (*ClusterSnapshot, error) { return cluster.DecodeSnapshot(b) }
-
-// ResumeCluster continues a checkpointed cluster run: servers recorded in
-// the snapshot keep their results, the rest are simulated.
-func ResumeCluster(cfg ClusterConfig, jobs []Job, snap *ClusterSnapshot) (ClusterResult, error) {
-	return cluster.Resume(cfg, jobs, snap)
 }
 
 // AttachInvariants wires a runtime invariant checker into a simulation
