@@ -123,7 +123,8 @@ ledger-smoke:
 # doc comment — godoc is part of the documented API surface (docs/SCALE.md
 # links into it). Extend DOCS_LINT_PKGS as more packages graduate.
 DOCS_LINT_PKGS ?= internal/cluster internal/workloadspec internal/registry \
-	internal/telemetry/span internal/telemetry/flightrec internal/telemetry/ledger internal/runlog
+	internal/telemetry/span internal/telemetry/flightrec internal/telemetry/ledger internal/runlog \
+	internal/sim internal/admission internal/names
 docs-lint:
 	@fail=0; \
 	for f in $(foreach p,$(DOCS_LINT_PKGS),$(p)/*.go); do \

@@ -201,37 +201,6 @@ func clusterLedgerEntry(fl simInstrumentFlags, ccfg dessched.ClusterConfig,
 	}
 }
 
-// clusterSpec translates cmdSim's single-server policy flags into a
-// cluster policy spec string (des + arch collapse to des-c/s/no, the
-// baselines honor -wf).
-func clusterSpec(policy, arch string, wf bool) (string, error) {
-	switch strings.ToLower(policy) {
-	case "des":
-		switch strings.ToLower(arch) {
-		case "c":
-			return "des-c", nil
-		case "s":
-			return "des-s", nil
-		case "no":
-			return "des-no", nil
-		}
-		return "", fmt.Errorf("unknown arch %q", arch)
-	case "fcfs", "ljf", "sjf", "edf", "prio-sjf", "prio-edf", "priosjf", "prioedf":
-		base := strings.ToLower(policy)
-		switch base {
-		case "priosjf":
-			base = "prio-sjf"
-		case "prioedf":
-			base = "prio-edf"
-		}
-		if wf {
-			return base + "-wf", nil
-		}
-		return base, nil
-	}
-	return "", fmt.Errorf("unknown policy %q", policy)
-}
-
 // runClusterSim is cmdSim's -servers > 1 path: one fleet run over src
 // with the full instrumentation surface — live ticker, span trace, epoch
 // series, merged telemetry, flight dumps, and a cluster-trace bundle for

@@ -12,32 +12,6 @@ import (
 	"dessched/internal/telemetry"
 )
 
-func TestClusterSpec(t *testing.T) {
-	cases := []struct {
-		policy, arch string
-		wf           bool
-		want         string
-	}{
-		{"des", "c", false, "des-c"},
-		{"des", "s", false, "des-s"},
-		{"des", "no", false, "des-no"},
-		{"fcfs", "c", true, "fcfs-wf"},
-		{"sjf", "c", false, "sjf"},
-	}
-	for _, tc := range cases {
-		got, err := clusterSpec(tc.policy, tc.arch, tc.wf)
-		if err != nil || got != tc.want {
-			t.Errorf("clusterSpec(%q, %q, %v) = %q, %v; want %q", tc.policy, tc.arch, tc.wf, got, err, tc.want)
-		}
-	}
-	if _, err := clusterSpec("nope", "c", false); err == nil {
-		t.Error("bogus policy accepted")
-	}
-	if _, err := clusterSpec("des", "z", false); err == nil {
-		t.Error("bogus arch accepted")
-	}
-}
-
 func TestLiveTickerFormatsSamples(t *testing.T) {
 	var buf bytes.Buffer
 	tick := liveTicker(&buf)
@@ -96,7 +70,7 @@ func TestRunClusterSimOutputs(t *testing.T) {
 	spansOut := filepath.Join(dir, "spans.json")
 	seriesOut := filepath.Join(dir, "series.json")
 	fl := simInstrumentFlags{spansOut: spansOut, seriesOut: seriesOut, epoch: 1}
-	if err := runClusterSim(2, "des-c", cfg, dessched.NewSliceJobSource(jobs), wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", 0, fl,
+	if err := runClusterSim(2, "des", cfg, dessched.NewSliceJobSource(jobs), wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", 0, fl,
 		traceOut, "", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +101,7 @@ func TestRunClusterSimOutputs(t *testing.T) {
 		}
 	}
 
-	if err := runClusterSim(2, "des-c", cfg, dessched.NewSliceJobSource(jobs), wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", 0, fl, traceOut, "", ""); err != nil {
+	if err := runClusterSim(2, "des", cfg, dessched.NewSliceJobSource(jobs), wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", 0, fl, traceOut, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	b2, _ := os.ReadFile(spansOut)

@@ -7,7 +7,7 @@
 //	desim list
 //	desim run -exp fig3 [-duration 60] [-seed 1] [-rates 100,140,180] [-paper] [-out results.txt]
 //	desim run -all [-quick]
-//	desim sim -policy des -arch c -rate 120 [-cores 16] [-budget 320] [-wf]
+//	desim sim -policy des -rate 120 [-cores 16] [-budget 320]
 //	          [-workload spec.json|trace.csv]
 //	          [-discrete] [-duration 60] [-seed 1] [-partial 1.0] [-trace out.csv]
 //	          [-chaos-seed 1 -mttr 0.5] [-retry-max 3 -retry-backoff 0.05]
@@ -16,7 +16,7 @@
 //	          [-live] [-epoch 1] [-spans spans.json] [-series series.csv]
 //	          [-servers 8 -dispatch rr -global-budget 2000]
 //	          [-hedge-window 0.2 -hedge-limit 100]
-//	desim chaos -seed 1 [-rate 120] [-duration 30] [-cores 16] [-budget 320]
+//	desim chaos -seed 1 [-policy des] [-rate 120] [-duration 30] [-cores 16] [-budget 320]
 //	            [-core-faults 3] [-budget-faults 1] [-bursts 1]
 //	            [-mttr 0.5] [-retry-max 3 -retry-backoff 0.05]
 //	            [-admission quality-aware -max-queue 64]
@@ -41,9 +41,12 @@ import (
 	"time"
 
 	"dessched"
+	"dessched/internal/admission"
+	"dessched/internal/cluster"
 	"dessched/internal/experiments"
 	"dessched/internal/plot"
 	"dessched/internal/power"
+	"dessched/internal/sim"
 	"dessched/internal/telemetry"
 )
 
@@ -88,7 +91,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+	fmt.Fprintf(os.Stderr, `usage:
   desim list                          list experiments (paper figures)
   desim run -exp <id> [flags]         regenerate one figure
   desim run -all [flags]              regenerate every figure
@@ -103,11 +106,10 @@ func usage() {
 run flags: -duration s  -seed n  -replicas n  -workers n  -rates a,b,c
            -paper  -quick  -out file  -chart  -csv dir
            (presets set the baseline; explicit flags override them)
-sim flags: -policy des|fcfs|ljf|sjf|edf|prio-sjf|prio-edf  -arch c|s|no  -wf  -discrete
+sim flags: -policy scheduler  -discrete
            -rate r  -cores m  -budget W  -partial f  -duration s  -seed n
            -workload spec.json|trace.csv  (declarative classes / trace replay)
-           -order fcfs|sjf|edf|prio-sjf|prio-edf  (ready-queue discipline)
-           -admission none|tail-drop|quality-aware|priority  -max-queue n
+           -order queue-order  -admission admission  -max-queue n
            -trace file.csv  -events  -chaos-seed n  -mttr s
            -retry-max n  -retry-backoff s
            -checkpoint file.json  -checkpoint-every s  -resume file.json
@@ -115,18 +117,17 @@ sim flags: -policy des|fcfs|ljf|sjf|edf|prio-sjf|prio-edf  -arch c|s|no  -wf  -d
            -live  -epoch s  -spans file.json  -spans-perfetto file.json
            -spans-sample f  (deterministic sampling tracer; keeps fleets lazy)
            -series file.json|.csv  -flight file.json  -ledger file.jsonl
-           -servers m  -dispatch rr|ll|hash|by-class  -global-budget W
+           -servers m  -dispatch dispatch  -global-budget W
            -hedge-window s  -hedge-limit n
            (with -servers > 1, -trace/-perfetto write the cluster bundle;
             fleets pull arrivals lazily unless -trace/-perfetto/unsampled -spans)
-chaos flags: -seed n  -rate r  -duration s  -cores m  -budget W  -arch c|s|no
+chaos flags: -seed n  -policy scheduler  -rate r  -duration s  -cores m  -budget W
              -workload spec.json  -core-faults n  -budget-faults n  -bursts n
              -outage-frac f  -mttr s  -retry-max n  -retry-backoff s
-             -order fcfs|sjf|edf|prio-sjf|prio-edf
-             -admission none|tail-drop|quality-aware|priority  -max-queue n
+             -order queue-order  -admission admission  -max-queue n
 sweep flags: -rates a,b,c  -cores a,b  -budgets a,b  -policies p,q  -seeds a,b
              -workload spec.json (replaces -rates)  -duration s  -workers n
-             -servers m  -dispatch rr|ll|hash|by-class
+             -servers m  -dispatch dispatch
              -order ...  -admission ...  -max-queue n  (one SLO setting per grid)
              -global-frac f  -epoch s  -telemetry  -out file.json  -csv file.csv
 tournament flags: -workload spec.json (required)  -policies p,q@order  -baseline p
@@ -138,7 +139,13 @@ workload flags: -validate | -describe | -generate -out trace.csv
 bench flags: -out file.json  -compare old.json  -threshold f
              -repeats n  -duration s  -quick
 ledger verbs: list [-n k]  |  show [idx]  |  diff [a b]   (-in file.jsonl;
-              negative indexes count from the latest entry)`)
+              negative indexes count from the latest entry)
+policy names (each also accepts its aliases; see docs/POLICIES.md):
+  scheduler    %s
+  queue-order  %s
+  admission    %s
+  dispatch     %s
+`, cluster.Policies.Help(), sim.QueueOrders.Help(), admission.Policies.Help(), cluster.Dispatches.Help())
 }
 
 func cmdList() error {
@@ -330,7 +337,7 @@ func cmdChaos(args []string) error {
 	duration := fs.Float64("duration", 30, "simulated seconds of arrivals")
 	cores := fs.Int("cores", 16, "number of cores")
 	budget := fs.Float64("budget", 320, "dynamic power budget, W")
-	arch := fs.String("arch", "c", "architecture for DES: c | s | no")
+	policy := fs.String("policy", "des", "scheduler: "+cluster.Policies.Help())
 	coreFaults := fs.Int("core-faults", 3, "number of core speed faults")
 	budgetFaults := fs.Int("budget-faults", 1, "number of budget-drop windows")
 	bursts := fs.Int("bursts", 1, "number of arrival-burst windows")
@@ -362,18 +369,10 @@ func cmdChaos(args []string) error {
 		wlSpec = spec
 	}
 
-	var a dessched.Arch
-	switch strings.ToLower(*arch) {
-	case "c":
-		a = dessched.CDVFS
-	case "s":
-		a = dessched.SDVFS
-	case "no":
-		a = dessched.NoDVFS
-	default:
-		return fmt.Errorf("unknown arch %q", *arch)
+	spec, err := dessched.ParseSchedulerPolicy(*policy)
+	if err != nil {
+		return err
 	}
-
 	order, err := pf.queueOrder()
 	if err != nil {
 		return err
@@ -399,7 +398,7 @@ func cmdChaos(args []string) error {
 		cfg := dessched.PaperServer()
 		cfg.Cores = *cores
 		cfg.Budget = *budget
-		dessched.ApplyArch(&cfg, a)
+		spec.Configure(&cfg)
 		cfg.QueueOrder = order
 		if faulted {
 			cfg.Admission = admitCfg
@@ -437,7 +436,7 @@ func cmdChaos(args []string) error {
 				return dessched.Result{}, err
 			}
 		}
-		return dessched.Simulate(cfg, jobs, dessched.NewDES(a))
+		return dessched.Simulate(cfg, jobs, spec.New())
 	}
 
 	faulted, err := run(true)
@@ -463,14 +462,14 @@ func cmdChaos(args []string) error {
 		fpCfg := dessched.PaperServer()
 		fpCfg.Cores = *cores
 		fpCfg.Budget = *budget
-		dessched.ApplyArch(&fpCfg, a)
+		spec.Configure(&fpCfg)
 		fpCfg.QueueOrder = order
 		e := dessched.LedgerEntry{
 			Cmd:          "chaos",
-			Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintServerConfig(fpCfg, "des-"+strings.ToLower(*arch))),
+			Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintServerConfig(fpCfg, spec.Name)),
 			WorkloadHash: hashWorkloadFile(*workloadFile),
 			Seed:         *seed,
-			Policy:       "des-" + strings.ToLower(*arch),
+			Policy:       spec.Name,
 			Workload:     *workloadFile,
 			Servers:      1,
 			Cores:        *cores,
@@ -495,9 +494,7 @@ func cmdChaos(args []string) error {
 
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	policy := fs.String("policy", "des", "des | fcfs | ljf | sjf | edf | prio-sjf | prio-edf")
-	arch := fs.String("arch", "c", "architecture for DES: c | s | no")
-	wf := fs.Bool("wf", false, "water-filling power distribution for baselines")
+	policy := fs.String("policy", "des", "scheduler: "+cluster.Policies.Help())
 	discrete := fs.Bool("discrete", false, "discrete speed scaling (0.5..3.0 GHz ladder)")
 	rate := fs.Float64("rate", 120, "arrival rate, requests/s")
 	cores := fs.Int("cores", 16, "number of cores")
@@ -533,6 +530,10 @@ func cmdSim(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	spec, err := dessched.ParseSchedulerPolicy(*policy)
+	if err != nil {
+		return err
+	}
 
 	cfg := dessched.PaperServer()
 	cfg.Cores = *cores
@@ -557,7 +558,6 @@ func cmdSim(args []string) error {
 		if *resumeIn != "" {
 			return fmt.Errorf("-resume carries its workload in the snapshot; drop -workload")
 		}
-		var err error
 		wlJobs, wlSpec, err = loadWorkloadArg(*workloadFile)
 		if err != nil {
 			return err
@@ -593,10 +593,6 @@ func cmdSim(args []string) error {
 	if *servers > 1 {
 		if *events {
 			return fmt.Errorf("-events is single-server only; cluster runs expose counts via -telemetry")
-		}
-		spec, err := clusterSpec(*policy, *arch, *wf)
-		if err != nil {
-			return err
 		}
 		d, err := pf.dispatchPolicy()
 		if err != nil {
@@ -642,50 +638,15 @@ func cmdSim(args []string) error {
 				return err
 			}
 		}
-		return runClusterSim(*servers, spec, cfg, src, horizon, d, classes, *globalBudget,
+		return runClusterSim(*servers, spec.Name, cfg, src, horizon, d, classes, *globalBudget,
 			*chaosSeed, hedge, *checkpointOut, *resumeIn, *checkpointEvery, fl, *traceOut, *perfettoOut, *telemetryOut)
 	}
 	if *hedgeWindow > 0 {
 		return fmt.Errorf("-hedge-window needs -servers > 1: hedging duplicates jobs across servers")
 	}
 
-	var p dessched.Policy
-	switch strings.ToLower(*policy) {
-	case "des":
-		var a dessched.Arch
-		switch strings.ToLower(*arch) {
-		case "c":
-			a = dessched.CDVFS
-		case "s":
-			a = dessched.SDVFS
-		case "no":
-			a = dessched.NoDVFS
-		default:
-			return fmt.Errorf("unknown arch %q", *arch)
-		}
-		dessched.ApplyArch(&cfg, a)
-		p = dessched.NewDES(a)
-	case "fcfs":
-		cfg.Triggers = dessched.Triggers{IdleCore: true}
-		p = dessched.NewBaseline(dessched.FCFS, *wf)
-	case "ljf":
-		cfg.Triggers = dessched.Triggers{IdleCore: true}
-		p = dessched.NewBaseline(dessched.LJF, *wf)
-	case "sjf":
-		cfg.Triggers = dessched.Triggers{IdleCore: true}
-		p = dessched.NewBaseline(dessched.SJF, *wf)
-	case "edf":
-		cfg.Triggers = dessched.Triggers{IdleCore: true}
-		p = dessched.NewBaseline(dessched.EDF, *wf)
-	case "prio-sjf", "priosjf":
-		cfg.Triggers = dessched.Triggers{IdleCore: true}
-		p = dessched.NewBaseline(dessched.PrioSJF, *wf)
-	case "prio-edf", "prioedf":
-		cfg.Triggers = dessched.Triggers{IdleCore: true}
-		p = dessched.NewBaseline(dessched.PrioEDF, *wf)
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
-	}
+	spec.Configure(&cfg)
+	p := spec.New()
 
 	wl := dessched.PaperWorkload(*rate)
 	wl.Duration = *duration
@@ -822,7 +783,6 @@ func cmdSim(args []string) error {
 			}
 			jobs = generated
 		}
-		var err error
 		if res, err = dessched.Simulate(cfg, jobs, p, opts...); err != nil {
 			return err
 		}
@@ -910,10 +870,10 @@ func cmdSim(args []string) error {
 		}
 		e := dessched.LedgerEntry{
 			Cmd:          "sim",
-			Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintServerConfig(cfg, strings.ToLower(*policy))),
+			Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintServerConfig(cfg, spec.Name)),
 			WorkloadHash: hashWorkloadFile(*workloadFile),
 			Seed:         *seed,
-			Policy:       strings.ToLower(*policy),
+			Policy:       spec.Name,
 			Workload:     *workloadFile,
 			Servers:      1,
 			Cores:        *cores,

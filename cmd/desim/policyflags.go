@@ -4,13 +4,16 @@ import (
 	"flag"
 
 	"dessched"
+	"dessched/internal/admission"
+	"dessched/internal/cluster"
+	"dessched/internal/sim"
 )
 
 // policyFlags are the SLO-policy flags shared by `desim sim`, `sweep`,
 // `chaos`, and `tournament`: the ready-queue discipline, the admission
 // stage, and (for fleet commands) the dispatch policy. One registration
 // helper keeps flag names, defaults, and help text identical across the
-// subcommands; values resolve through the unified policy registry, so
+// subcommands; help text and parsing both read each kind's name table, so
 // every command accepts exactly the registry names and aliases.
 type policyFlags struct {
 	Order     string
@@ -25,19 +28,19 @@ type policyFlags struct {
 func registerPolicyFlags(fs *flag.FlagSet, def policyFlags, withDispatch bool) *policyFlags {
 	p := &def
 	fs.StringVar(&p.Order, "order", def.Order,
-		"ready-queue discipline: fcfs | sjf | edf | prio-sjf | prio-edf")
+		"ready-queue discipline: "+sim.QueueOrders.Help())
 	fs.StringVar(&p.Admission, "admission", def.Admission,
-		"load shedding: none | tail-drop | quality-aware | priority")
+		"load shedding: "+admission.Policies.Help())
 	fs.IntVar(&p.MaxQueue, "max-queue", def.MaxQueue,
 		"queue length beyond which admission control sheds")
 	if withDispatch {
 		fs.StringVar(&p.Dispatch, "dispatch", def.Dispatch,
-			"cluster dispatch: rr | ll | hash | by-class")
+			"cluster dispatch: "+cluster.Dispatches.Help())
 	}
 	return p
 }
 
-// queueOrder resolves -order through the registry.
+// queueOrder resolves -order through sim.QueueOrders.
 func (p *policyFlags) queueOrder() (dessched.QueueOrder, error) {
 	return dessched.ParseQueueOrder(p.Order)
 }
@@ -52,7 +55,7 @@ func (p *policyFlags) admissionConfig() (dessched.AdmissionConfig, error) {
 	return dessched.AdmissionConfig{Policy: ap, MaxQueue: p.MaxQueue}, nil
 }
 
-// dispatchPolicy resolves -dispatch through the registry.
+// dispatchPolicy resolves -dispatch through cluster.Dispatches.
 func (p *policyFlags) dispatchPolicy() (dessched.DispatchPolicy, error) {
 	return dessched.ParseDispatch(p.Dispatch)
 }

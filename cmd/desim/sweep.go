@@ -11,6 +11,7 @@ import (
 	"syscall"
 
 	"dessched"
+	"dessched/internal/cluster"
 )
 
 // cmdSweep fans a parameter grid (rate × cores × budget × policy × seed)
@@ -21,7 +22,7 @@ func cmdSweep(args []string) error {
 	rates := fs.String("rates", "60,90,120", "comma-separated arrival rates, req/s")
 	cores := fs.String("cores", "16", "comma-separated core counts")
 	budgets := fs.String("budgets", "320", "comma-separated power budgets, W")
-	policies := fs.String("policies", "des", "comma-separated policy specs (des[-c|-s|-no|-static], fcfs|ljf|sjf|edf[-wf])")
+	policies := fs.String("policies", "des", "comma-separated schedulers: "+cluster.Policies.Help())
 	seeds := fs.String("seeds", "1", "comma-separated workload seeds")
 	duration := fs.Float64("duration", 60, "simulated seconds per cell")
 	servers := fs.Int("servers", 1, "servers per cell; >1 runs each cell as a cluster")

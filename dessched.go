@@ -95,12 +95,6 @@ type (
 
 	// Trace is an executed-schedule record for replay and inspection.
 	Trace = trace.Trace
-	// Cluster is an emulated hardware testbed for energy validation.
-	//
-	// Deprecated: use HardwareCluster; the simulated multi-server fleet
-	// lives under ClusterConfig/ClusterResult/SimulateCluster.
-	Cluster = hw.Cluster
-
 	// CoreConfig is the per-core environment for the single-core planners.
 	CoreConfig = qeopt.Config
 	// CorePlan is an executable single-core schedule.
@@ -173,13 +167,6 @@ const (
 	// supplies the tiers.
 	AdmissionPriority = admission.Priority
 )
-
-// ParseAdmissionPolicy parses an admission policy name.
-//
-// Deprecated: use ParseAdmission, which resolves the same names through
-// the unified policy registry (see Policies) and reports unknown names as
-// typed *ConfigError values.
-func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) { return ParseAdmission(s) }
 
 // DefaultChaos returns a moderate chaos schedule generator: a few core
 // faults (some outages), one budget fault, and one arrival burst sampled
@@ -317,7 +304,7 @@ func OnlineQE(cfg CoreConfig, now float64, ready []Ready) (CorePlan, error) {
 func NewTrace(cores int) *Trace { return trace.New(cores) }
 
 // OpteronCluster returns the emulated §V-G validation testbed.
-func OpteronCluster(cores int) Cluster { return hw.Opteron(cores) }
+func OpteronCluster(cores int) HardwareCluster { return hw.Opteron(cores) }
 
 // SummarizeJobs computes latency percentiles and satisfaction rates from a
 // run made with ServerConfig.CollectJobs.

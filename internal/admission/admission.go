@@ -25,7 +25,11 @@
 // scheduler.
 package admission
 
-import "fmt"
+import (
+	"fmt"
+
+	"dessched/internal/names"
+)
 
 // Policy selects the shedding discipline.
 type Policy int
@@ -38,36 +42,26 @@ const (
 	Priority
 )
 
-func (p Policy) String() string {
-	switch p {
-	case None:
-		return "none"
-	case TailDrop:
-		return "tail-drop"
-	case QualityAware:
-		return "quality-aware"
-	case Priority:
-		return "priority"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
+// Policies is the name table of the shedding disciplines: ParsePolicy,
+// String and the policy registry all read it.
+var Policies = names.Table[Policy]{
+	Domain: "admission", Field: "policy", Noun: "policy",
+	Rows: []names.Row[Policy]{
+		{Name: "none", Summary: "admit everything (the paper's setting)", Value: None},
+		{Name: "tail-drop", Aliases: []string{"taildrop"}, Summary: "shed the newest arrival once the queue exceeds its limit", Value: TailDrop},
+		{Name: "quality-aware", Aliases: []string{"qualityaware", "quality"}, Summary: "shed the queued job with the lowest marginal quality per unit demand", Value: QualityAware},
+		{Name: "priority", Aliases: []string{"prio"}, Summary: "shed the lowest class-priority tier first, lowest marginal quality within it", Value: Priority},
+	},
 }
 
-// ParsePolicy maps a policy name (as used by CLI flags and the HTTP API)
-// to its Policy value.
+// String returns the policy's canonical name in Policies.
+func (p Policy) String() string { return names.NameOf(&Policies, p) }
+
+// ParsePolicy resolves a policy name or alias through Policies; the empty
+// string is None. Unknown names are a *cfgerr.Error.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "none":
-		return None, nil
-	case "tail-drop", "taildrop":
-		return TailDrop, nil
-	case "quality-aware", "qualityaware", "quality":
-		return QualityAware, nil
-	case "priority", "prio":
-		return Priority, nil
-	default:
-		return None, fmt.Errorf("admission: unknown policy %q (want none, tail-drop, quality-aware, or priority)", s)
-	}
+	r, err := Policies.Lookup(s)
+	return r.Value, err
 }
 
 // Config is the admission stage's configuration. The zero value admits

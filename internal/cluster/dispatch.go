@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"strings"
-
-	"dessched/internal/cfgerr"
 	"dessched/internal/job"
+	"dessched/internal/names"
 	"dessched/internal/sim"
 )
 
@@ -38,38 +36,26 @@ const (
 	ByClass
 )
 
-// String returns the canonical long-form name ("round-robin",
-// "least-loaded", "hash", "by-class") that ParseDispatch accepts back.
-func (d Dispatch) String() string {
-	switch d {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case Hash:
-		return "hash"
-	case ByClass:
-		return "by-class"
-	default:
-		return "unknown"
-	}
+// Dispatches is the name table of the dispatch policies: ParseDispatch,
+// String and the policy registry all read it.
+var Dispatches = names.Table[Dispatch]{
+	Domain: "cluster", Field: "dispatch", Noun: "dispatch policy",
+	Rows: []names.Row[Dispatch]{
+		{Name: "round-robin", Aliases: []string{"rr", "roundrobin"}, Summary: "cumulative round-robin across available servers", Value: RoundRobin},
+		{Name: "least-loaded", Aliases: []string{"ll", "leastloaded"}, Summary: "route to the server with the least outstanding dispatched demand", Value: LeastLoaded},
+		{Name: "hash", Summary: "sticky routing by a stateless hash of the job ID", Value: Hash},
+		{Name: "by-class", Aliases: []string{"byclass", "class"}, Summary: "pin each SLO class to its own server partition, round-robin within it", Value: ByClass},
+	},
 }
 
-// ParseDispatch parses "round-robin"/"rr", "least-loaded"/"ll", "hash", or
-// "by-class"/"class".
+// String returns the policy's canonical name in Dispatches.
+func (d Dispatch) String() string { return names.NameOf(&Dispatches, d) }
+
+// ParseDispatch resolves a dispatch name or alias through Dispatches; the
+// empty string is RoundRobin. Unknown names are a *cfgerr.Error.
 func ParseDispatch(s string) (Dispatch, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "rr", "round-robin", "roundrobin":
-		return RoundRobin, nil
-	case "ll", "least-loaded", "leastloaded":
-		return LeastLoaded, nil
-	case "hash":
-		return Hash, nil
-	case "by-class", "byclass", "class":
-		return ByClass, nil
-	default:
-		return 0, cfgerr.New("cluster", "dispatch", "cluster: unknown dispatch policy %q (want round-robin, least-loaded, hash, or by-class)", s)
-	}
+	r, err := Dispatches.Lookup(s)
+	return r.Value, err
 }
 
 // interval is one half-open time window [start, end).

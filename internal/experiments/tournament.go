@@ -9,8 +9,8 @@ import (
 
 	"dessched/internal/admission"
 	"dessched/internal/cfgerr"
+	"dessched/internal/cluster"
 	"dessched/internal/invariants"
-	polreg "dessched/internal/registry"
 	"dessched/internal/sim"
 	"dessched/internal/workloadspec"
 )
@@ -19,9 +19,10 @@ import (
 // optional ready-queue discipline layered on the engine's waiting queue.
 // The textual form is "policy" or "policy@order" ("des@prio-sjf").
 type Contender struct {
-	// Policy is a scheduler registry name (see polreg.KindScheduler).
+	// Policy is a scheduler name (see cluster.Policies).
 	Policy string `json:"policy"`
-	// Order is a queue-order registry name; empty means fcfs (no sort).
+	// Order is a queue-order name (see sim.QueueOrders); empty means fcfs
+	// (no sort).
 	Order string `json:"order,omitempty"`
 }
 
@@ -34,7 +35,7 @@ func (c Contender) Name() string {
 }
 
 // ParseContender parses "policy" or "policy@order", validating both names
-// against the registry.
+// against their name tables.
 func ParseContender(s string) (Contender, error) {
 	var c Contender
 	c.Policy = strings.TrimSpace(s)
@@ -42,10 +43,10 @@ func ParseContender(s string) (Contender, error) {
 		c.Order = c.Policy[at+1:]
 		c.Policy = c.Policy[:at]
 	}
-	if _, err := polreg.Scheduler(c.Policy); err != nil {
+	if _, err := cluster.ParsePolicy(c.Policy); err != nil {
 		return Contender{}, err
 	}
-	if _, err := polreg.QueueOrder(c.Order); err != nil {
+	if _, err := sim.ParseQueueOrder(c.Order); err != nil {
 		return Contender{}, err
 	}
 	return c, nil
@@ -287,11 +288,11 @@ func runTournamentCell(tc TournamentConfig, ct Contender, seed uint64, rateScale
 		}
 	}
 
-	ps, err := polreg.Scheduler(ct.Policy)
+	ps, err := cluster.ParsePolicy(ct.Policy)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	order, err := polreg.QueueOrder(ct.Order)
+	order, err := sim.ParseQueueOrder(ct.Order)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -10,7 +10,6 @@ import (
 	"dessched/internal/cfgerr"
 	"dessched/internal/cluster"
 	"dessched/internal/job"
-	"dessched/internal/registry"
 	"dessched/internal/sim"
 	"dessched/internal/sweep"
 	"dessched/internal/telemetry"
@@ -161,11 +160,11 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 		server.Budget = req.Budget
 	}
 	server.Context = ctx
-	if server.QueueOrder, err = registry.QueueOrder(req.QueueOrder); err != nil {
+	if server.QueueOrder, err = sim.ParseQueueOrder(req.QueueOrder); err != nil {
 		return fail(err)
 	}
 	if req.Admission != nil {
-		pol, err := registry.Admission(req.Admission.Policy)
+		pol, err := admission.ParsePolicy(req.Admission.Policy)
 		if err != nil {
 			return fail(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -18,6 +19,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"dessched/internal/workload"
 )
 
 // hardened serves the real routing table behind the full middleware stack,
@@ -122,7 +125,7 @@ func TestConcurrencyLimitSheds(t *testing.T) {
 // TestOversizedBody: bodies beyond MaxBodyBytes get 413.
 func TestOversizedBody(t *testing.T) {
 	srv := hardened(t, Options{MaxBodyBytes: 256})
-	big := fmt.Sprintf(`{"policy":"des","rate":10,"arch":%q}`, strings.Repeat("x", 1024))
+	big := fmt.Sprintf(`{"policy":%q,"rate":10}`, strings.Repeat("x", 1024))
 	resp, err := http.Post(srv.URL+"/v1/simulate", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +133,34 @@ func TestOversizedBody(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestSimulateHonoursCancellation: /v1/simulate passes the request context
+// into the engine, so a client that leaves (or the server's request
+// timeout) stops the run. Uncancelled, this request runs about 0.6 s on a
+// 2-vCPU box.
+func TestSimulateHonoursCancellation(t *testing.T) {
+	req := SimRequest{Policy: "des", Rate: 2000, Duration: 6}
+	// The job slice is built before the engine starts and is not
+	// cancellable, so the bound starts once it is built.
+	wl := workload.DefaultConfig(req.Rate)
+	wl.Duration = req.Duration
+	start := time.Now()
+	if _, err := workload.Generate(wl); err != nil {
+		t.Fatal(err)
+	}
+	generate := time.Since(start)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start = time.Now()
+	_, _, err := runSimulation(ctx, req)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request: err = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > generate+100*time.Millisecond {
+		t.Errorf("cancelled request returned after %v (workload generation %v), want within 100ms of it", took, generate)
 	}
 }
 

@@ -35,14 +35,12 @@ import (
 	"strings"
 
 	"dessched/internal/admission"
-	"dessched/internal/baseline"
 	"dessched/internal/cfgerr"
-	"dessched/internal/core"
+	"dessched/internal/cluster"
 	"dessched/internal/experiments"
 	"dessched/internal/job"
 	"dessched/internal/metrics"
 	"dessched/internal/power"
-	"dessched/internal/registry"
 	"dessched/internal/sim"
 	"dessched/internal/telemetry/ledger"
 	"dessched/internal/workload"
@@ -204,9 +202,7 @@ type AdmissionJSON struct {
 
 // SimRequest is the body of POST /v1/simulate.
 type SimRequest struct {
-	Policy   string   `json:"policy"`   // des | fcfs | ljf | sjf | edf | prio-sjf | prio-edf
-	Arch     string   `json:"arch"`     // c | s | no (DES only; default c)
-	WF       bool     `json:"wf"`       // water-filling for baselines
+	Policy   string   `json:"policy"`   // any scheduler name (cluster.Policies); default des
 	Discrete bool     `json:"discrete"` // 0.5..3.0 GHz ladder
 	Cores    int      `json:"cores"`    // default 16
 	Budget   float64  `json:"budget_w"` // default 320
@@ -281,48 +277,14 @@ func (a api) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// simPolicy builds the policy (and adjusts the config) for a request.
-// Policies are stateful across invocations, so each run needs a fresh one.
-func simPolicy(req SimRequest, cfg *sim.Config) (sim.Policy, error) {
-	var p sim.Policy
-	switch strings.ToLower(req.Policy) {
-	case "", "des":
-		arch := core.CDVFS
-		switch strings.ToLower(req.Arch) {
-		case "", "c":
-		case "s":
-			arch = core.SDVFS
-		case "no":
-			arch = core.NoDVFS
-		default:
-			return nil, fmt.Errorf("unknown arch %q", req.Arch)
-		}
-		core.ApplyArch(cfg, arch)
-		p = core.New(arch)
-	case "fcfs":
-		p = baseline.New(baseline.FCFS, req.WF)
-	case "ljf":
-		p = baseline.New(baseline.LJF, req.WF)
-	case "sjf":
-		p = baseline.New(baseline.SJF, req.WF)
-	case "edf":
-		p = baseline.New(baseline.EDF, req.WF)
-	case "prio-sjf", "priosjf":
-		p = baseline.New(baseline.PrioSJF, req.WF)
-	case "prio-edf", "prioedf":
-		p = baseline.New(baseline.PrioEDF, req.WF)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", req.Policy)
-	}
-	if _, isBaseline := p.(*baseline.Greedy); isBaseline {
-		cfg.Triggers = sim.Triggers{IdleCore: true}
-	}
-	return p, nil
-}
-
 func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Entry, error) {
 	fail := func(err error) (SimResponse, ledger.Entry, error) { return SimResponse{}, ledger.Entry{}, err }
+	spec, err := cluster.ParsePolicy(req.Policy)
+	if err != nil {
+		return fail(err)
+	}
 	cfg := sim.PaperConfig()
+	cfg.Context = ctx
 	if req.Cores > 0 {
 		cfg.Cores = req.Cores
 	}
@@ -354,7 +316,6 @@ func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Ent
 		if err := req.Workload.Validate(); err != nil {
 			return fail(err)
 		}
-		var err error
 		if cfg.ClassQuality, err = req.Workload.QualityByClass(); err != nil {
 			return fail(err)
 		}
@@ -400,25 +361,21 @@ func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Ent
 		bursts = append(bursts, plan.Apply(&cfg)...)
 	}
 	if req.Admission != nil {
-		pol, err := registry.Admission(req.Admission.Policy)
+		pol, err := admission.ParsePolicy(req.Admission.Policy)
 		if err != nil {
 			return fail(err)
 		}
 		cfg.Admission = admission.Config{Policy: pol, MaxQueue: req.Admission.MaxQueue}
 	}
-	order, err := registry.QueueOrder(req.QueueOrder)
-	if err != nil {
+	if cfg.QueueOrder, err = sim.ParseQueueOrder(req.QueueOrder); err != nil {
 		return fail(err)
 	}
-	cfg.QueueOrder = order
+	spec.Configure(&cfg)
 	faulted := len(cfg.Faults) > 0 || len(cfg.BudgetFaults) > 0 || len(bursts) > 0
 
 	run := func(cfg sim.Config, bursts []workload.Burst) (sim.Result, error) {
-		p, err := simPolicy(req, &cfg)
-		if err != nil {
-			return sim.Result{}, err
-		}
 		var jobs []job.Job
+		var err error
 		if req.Workload != nil {
 			sc := *req.Workload
 			sc.Bursts = append([]workloadspec.BurstSpec(nil), req.Workload.Bursts...)
@@ -434,7 +391,7 @@ func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Ent
 		if err != nil {
 			return sim.Result{}, err
 		}
-		return sim.Run(cfg, jobs, p)
+		return sim.Run(cfg, jobs, spec.New())
 	}
 	res, err := run(cfg, bursts)
 	if err != nil {
@@ -472,19 +429,14 @@ func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Ent
 		resp.Resilience = &report
 	}
 	// The provenance manifest fingerprints the exact engine config the run
-	// used: rebuild the policy's config adjustments on a copy, the same
-	// way the run closure did.
-	fpCfg := cfg
-	if _, err := simPolicy(req, &fpCfg); err != nil {
-		return fail(err)
-	}
+	// used.
 	entry := ledger.Entry{
-		Fingerprint: ledger.Fingerprint(sim.FingerprintConfig(&fpCfg, res.Policy)),
+		Fingerprint: ledger.Fingerprint(sim.FingerprintConfig(&cfg, res.Policy)),
 		Seed:        req.Seed,
 		Policy:      res.Policy,
 		Servers:     1,
-		Cores:       fpCfg.Cores,
-		BudgetW:     fpCfg.Budget,
+		Cores:       cfg.Cores,
+		BudgetW:     cfg.Budget,
 		DurationS:   horizon,
 		Jobs:        res.Arrived,
 		Quality:     res.Quality,

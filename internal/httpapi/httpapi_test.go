@@ -143,10 +143,10 @@ func TestSimulateDES(t *testing.T) {
 func TestSimulateBaselineAndArchVariants(t *testing.T) {
 	srv := server(t)
 	for _, body := range []SimRequest{
-		{Policy: "fcfs", WF: true, Cores: 2, Budget: 40, Rate: 10, Duration: 3},
+		{Policy: "fcfs-wf", Cores: 2, Budget: 40, Rate: 10, Duration: 3},
 		{Policy: "edf", Cores: 2, Budget: 40, Rate: 10, Duration: 3},
-		{Policy: "des", Arch: "s", Cores: 2, Budget: 40, Rate: 10, Duration: 3},
-		{Policy: "des", Arch: "no", Cores: 2, Budget: 40, Rate: 10, Duration: 3},
+		{Policy: "des-s", Cores: 2, Budget: 40, Rate: 10, Duration: 3},
+		{Policy: "des-no", Cores: 2, Budget: 40, Rate: 10, Duration: 3},
 		{Policy: "sjf", Discrete: true, Cores: 2, Budget: 40, Rate: 10, Duration: 3},
 	} {
 		b, _ := json.Marshal(body)
@@ -166,7 +166,8 @@ func TestSimulateValidation(t *testing.T) {
 	for _, body := range []string{
 		`{"policy":"des"}`,                      // no rate
 		`{"policy":"warp","rate":10}`,           // unknown policy
-		`{"policy":"des","arch":"q","rate":10}`, // unknown arch
+		`{"policy":"des","arch":"s","rate":10}`, // arch is not a field: spell des-s
+		`{"policy":"fcfs","wf":true,"rate":10}`, // wf is not a field: spell fcfs-wf
 	} {
 		resp, err := http.Post(srv.URL+"/v1/simulate", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -2,7 +2,9 @@ package httpapi
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -19,11 +21,19 @@ func decodeError(t *testing.T, body []byte) ErrorBody {
 }
 
 // TestPolicyNamesRejectedUniformly pins the registry contract at the HTTP
-// boundary: an unknown queue order, admission policy, or dispatch policy on
-// any endpoint yields 400 with the invalid_config envelope.
+// boundary: an unknown scheduler, queue order, admission policy, or
+// dispatch policy on any endpoint yields 400 with the invalid_config
+// envelope — the stream included, before it opens.
 func TestPolicyNamesRejectedUniformly(t *testing.T) {
-	srv := server(t)
+	srv := httptest.NewServer(NewHandler(Options{}))
+	defer srv.Close()
 	cases := []struct{ url, body string }{
+		{"/v1/simulate", `{"policy":"warp","rate":10,"duration_s":2}`},
+		{"/v1/cluster/simulate", `{"servers":2,"policy":"warp","rate":10,"duration_s":2}`},
+		{"/v1/sweep", `{"rates":[10],"cores":[2],"budgets_w":[40],"policies":["warp"],"seeds":[1],"duration_s":2}`},
+		{"/v1/stream?policy=warp&rate=10&duration_s=1", ""},
+		{"/v1/stream?dispatch=teleport&rate=10&duration_s=1", ""},
+		{"/v1/stream?dispatch=by-class&servers=2&rate=10&duration_s=1", ""},
 		{"/v1/simulate", `{"policy":"des","rate":10,"duration_s":2,"queue_order":"lifo"}`},
 		{"/v1/simulate", `{"policy":"des","rate":10,"duration_s":2,"admission":{"policy":"wat","max_queue":8}}`},
 		{"/v1/cluster/simulate", `{"servers":2,"rate":10,"duration_s":2,"queue_order":"lifo"}`},
@@ -34,7 +44,18 @@ func TestPolicyNamesRejectedUniformly(t *testing.T) {
 		{"/v1/sweep", `{"rates":[10],"cores":[2],"budgets_w":[40],"policies":["des"],"seeds":[1],"duration_s":2,"servers":2,"dispatch":"teleport"}`},
 	}
 	for _, c := range cases {
-		resp, body := postJSON(t, srv.URL+c.url, c.body)
+		var resp *http.Response
+		var body []byte
+		if c.body == "" {
+			var err error
+			if resp, err = http.Get(srv.URL + c.url); err != nil {
+				t.Fatal(err)
+			}
+			body, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		} else {
+			resp, body = postJSON(t, srv.URL+c.url, c.body)
+		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d, want 400 (%s)", c.url, c.body, resp.StatusCode, body)
 			continue

@@ -164,10 +164,17 @@ func parseStreamParams(r *http.Request) (streamParams, error) {
 			return p, cfgerr.New("httpapi", "stream", "stream: bad stream %q", s)
 		}
 	}
-	p.policy = q.Get("policy")
-	var err error
+	spec, err := cluster.ParsePolicy(q.Get("policy"))
+	if err != nil {
+		return p, err
+	}
+	p.policy = spec.Name
 	if p.dispatch, err = cluster.ParseDispatch(q.Get("dispatch")); err != nil {
 		return p, err
+	}
+	if p.dispatch == cluster.ByClass {
+		return p, cfgerr.New("httpapi", "dispatch",
+			"stream: by-class dispatch needs a workload spec to name the class partitions; the stream runs the single-rate generator")
 	}
 
 	if p.rate <= 0 {

@@ -1,21 +1,25 @@
-// Package registry is the unified policy registry: one catalogue of every
-// named policy the simulator accepts — scheduling policies, ready-queue
-// disciplines, admission policies, and cluster dispatch policies — each
-// with its canonical name, accepted aliases, and a one-line summary.
+// Package registry is the unified policy catalogue: every named policy the
+// simulator accepts — scheduling policies, ready-queue disciplines,
+// admission policies, and cluster dispatch policies — with its canonical
+// name, accepted aliases, and a one-line summary.
 //
-// The CLI flags, the HTTP API, and the facade all resolve policy names
-// through the typed Parse helpers here, so every layer accepts the same
-// names and rejects unknown ones with the same typed *cfgerr.Error. The
-// canonical name of every entry round-trips: parsing it yields a value
-// whose String() (or spec Name) is the canonical name again.
+// The catalogue is read from the name table each kind's owning package
+// keeps (cluster.Policies, sim.QueueOrders, admission.Policies,
+// cluster.Dispatches). Callers parse names with the owners' parsers
+// (cluster.ParsePolicy, sim.ParseQueueOrder, admission.ParsePolicy,
+// cluster.ParseDispatch), which read the same tables, so every layer
+// accepts the same names and rejects unknown ones with a typed
+// *cfgerr.Error. Parsing any name or alias yields a value whose String()
+// (or spec Name) is the canonical name.
 package registry
 
 import (
+	"slices"
 	"sort"
 
 	"dessched/internal/admission"
-	"dessched/internal/cfgerr"
 	"dessched/internal/cluster"
+	"dessched/internal/names"
 	"dessched/internal/sim"
 )
 
@@ -49,52 +53,28 @@ type Entry struct {
 	Summary string
 }
 
-// entries is the static catalogue, grouped by kind.
-var entries = []Entry{
-	{KindScheduler, "des", []string{"des-c"}, "DES with core-level DVFS: C-RR job distribution + water-filling power + Online-QE"},
-	{KindScheduler, "des-s", nil, "DES on system-level DVFS (all cores share one speed)"},
-	{KindScheduler, "des-no", nil, "DES on a fixed-speed processor without DVFS"},
-	{KindScheduler, "des-static", nil, "DES with static equal power split (water-filling ablation)"},
-	{KindScheduler, "fcfs", nil, "greedy first-come-first-served baseline, static power split"},
-	{KindScheduler, "ljf", nil, "greedy longest-job-first baseline"},
-	{KindScheduler, "sjf", nil, "greedy shortest-job-first baseline"},
-	{KindScheduler, "edf", nil, "greedy earliest-deadline-first baseline"},
-	{KindScheduler, "prio-sjf", []string{"priosjf"}, "greedy class-priority hybrid: highest tier first, SJF within the tier"},
-	{KindScheduler, "prio-edf", []string{"prioedf"}, "greedy class-priority hybrid: highest tier first, EDF within the tier"},
-	{KindScheduler, "fcfs-wf", nil, "FCFS with dynamic water-filling power"},
-	{KindScheduler, "ljf-wf", nil, "LJF with dynamic water-filling power"},
-	{KindScheduler, "sjf-wf", nil, "SJF with dynamic water-filling power"},
-	{KindScheduler, "edf-wf", nil, "EDF with dynamic water-filling power"},
-	{KindScheduler, "prio-sjf-wf", nil, "priority-SJF hybrid with water-filling power"},
-	{KindScheduler, "prio-edf-wf", nil, "priority-EDF hybrid with water-filling power"},
-
-	{KindQueueOrder, "fcfs", nil, "arrival order (default; bit-identical to runs predating the knob)"},
-	{KindQueueOrder, "sjf", nil, "ascending remaining demand"},
-	{KindQueueOrder, "edf", nil, "ascending deadline"},
-	{KindQueueOrder, "prio-sjf", []string{"priosjf"}, "descending class priority, then ascending remaining demand"},
-	{KindQueueOrder, "prio-edf", []string{"prioedf"}, "descending class priority, then ascending deadline"},
-
-	{KindAdmission, "none", nil, "admit everything (the paper's setting)"},
-	{KindAdmission, "tail-drop", []string{"taildrop"}, "shed the newest arrival once the queue exceeds its limit"},
-	{KindAdmission, "quality-aware", []string{"qualityaware", "quality"}, "shed the queued job with the lowest marginal quality per unit demand"},
-	{KindAdmission, "priority", []string{"prio"}, "shed the lowest class-priority tier first, lowest marginal quality within it"},
-
-	{KindDispatch, "round-robin", []string{"rr", "roundrobin"}, "cumulative round-robin across available servers"},
-	{KindDispatch, "least-loaded", []string{"ll", "leastloaded"}, "route to the server with the least outstanding dispatched demand"},
-	{KindDispatch, "hash", nil, "sticky routing by a stateless hash of the job ID"},
-	{KindDispatch, "by-class", []string{"byclass", "class"}, "pin each SLO class to its own server partition, round-robin within it"},
-}
-
-// All returns every registered policy, sorted by kind then canonical name.
-// The returned slice is a copy; callers may reorder it freely.
+// All returns every registered policy, sorted by kind then canonical name,
+// read from the name table of each kind's owning package. The returned
+// slice is a copy; callers may reorder it freely.
 func All() []Entry {
-	out := append([]Entry(nil), entries...)
+	out := rows(nil, KindScheduler, &cluster.Policies)
+	out = rows(out, KindQueueOrder, &sim.QueueOrders)
+	out = rows(out, KindAdmission, &admission.Policies)
+	out = rows(out, KindDispatch, &cluster.Dispatches)
 	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Kind != out[b].Kind {
 			return out[a].Kind < out[b].Kind
 		}
 		return out[a].Name < out[b].Name
 	})
+	return out
+}
+
+// rows appends one name table's rows as entries of kind k.
+func rows[T any](out []Entry, k Kind, t *names.Table[T]) []Entry {
+	for _, r := range t.Rows {
+		out = append(out, Entry{k, r.Name, slices.Clone(r.Aliases), r.Summary})
+	}
 	return out
 }
 
@@ -116,33 +96,4 @@ func Names(k Kind) []string {
 		out = append(out, e.Name)
 	}
 	return out
-}
-
-// Scheduler resolves a scheduling-policy spec by registry name ("" means
-// "des"). The returned spec's Name is the canonical name.
-func Scheduler(name string) (cluster.PolicySpec, error) {
-	return cluster.ParsePolicy(name)
-}
-
-// QueueOrder resolves a ready-queue discipline by registry name ("" means
-// "fcfs").
-func QueueOrder(name string) (sim.QueueOrder, error) {
-	return sim.ParseQueueOrder(name)
-}
-
-// Admission resolves an admission policy by registry name ("" means
-// "none"). Unknown names yield a typed *cfgerr.Error like every other
-// kind (the admission package itself reports a plain error).
-func Admission(name string) (admission.Policy, error) {
-	p, err := admission.ParsePolicy(name)
-	if err != nil {
-		return p, cfgerr.New("admission", "policy", "%v", err)
-	}
-	return p, nil
-}
-
-// Dispatch resolves a cluster dispatch policy by registry name ("" means
-// "round-robin").
-func Dispatch(name string) (cluster.Dispatch, error) {
-	return cluster.ParseDispatch(name)
 }

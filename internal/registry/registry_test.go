@@ -1,57 +1,45 @@
 package registry
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
+	"dessched/internal/admission"
 	"dessched/internal/cfgerr"
+	"dessched/internal/cluster"
+	"dessched/internal/sim"
 )
 
+// parse resolves a name through its kind's owning parser and returns the
+// canonical name of the parsed value.
+func parse(k Kind, name string) (string, error) {
+	switch k {
+	case KindScheduler:
+		s, err := cluster.ParsePolicy(name)
+		return s.Name, err
+	case KindQueueOrder:
+		v, err := sim.ParseQueueOrder(name)
+		return v.String(), err
+	case KindAdmission:
+		v, err := admission.ParsePolicy(name)
+		return v.String(), err
+	case KindDispatch:
+		v, err := cluster.ParseDispatch(name)
+		return v.String(), err
+	}
+	return "", fmt.Errorf("unknown kind %q", k)
+}
+
 // Every canonical name and every alias must resolve through its kind's
-// typed helper, and the canonical name must round-trip: parsing it yields
-// a value that stringifies back to the same name.
+// parser and canonicalize: parsing yields a value that stringifies to the
+// entry's canonical name.
 func TestCatalogueRoundTrips(t *testing.T) {
 	for _, e := range All() {
-		names := append([]string{e.Name}, e.Aliases...)
-		for _, name := range names {
-			var got string
-			var err error
-			switch e.Kind {
-			case KindScheduler:
-				if s, serr := Scheduler(name); serr != nil {
-					err = serr
-				} else {
-					got = s.Name
-				}
-			case KindQueueOrder:
-				if v, qerr := QueueOrder(name); qerr != nil {
-					err = qerr
-				} else {
-					got = v.String()
-				}
-			case KindAdmission:
-				if v, aerr := Admission(name); aerr != nil {
-					err = aerr
-				} else {
-					got = v.String()
-				}
-			case KindDispatch:
-				if v, derr := Dispatch(name); derr != nil {
-					err = derr
-				} else {
-					got = v.String()
-				}
-			default:
-				t.Fatalf("unknown kind %q", e.Kind)
-			}
+		for _, name := range append([]string{e.Name}, e.Aliases...) {
+			got, err := parse(e.Kind, name)
 			if err != nil {
 				t.Errorf("%s %q (via %q): %v", e.Kind, e.Name, name, err)
-				continue
-			}
-			// Scheduler specs preserve the spelling they were given, so
-			// only the canonical name itself must round-trip; aliases of
-			// the other kinds canonicalize on parse.
-			if name != e.Name && e.Kind == KindScheduler {
 				continue
 			}
 			if got != e.Name {
@@ -62,23 +50,14 @@ func TestCatalogueRoundTrips(t *testing.T) {
 }
 
 func TestUnknownNamesAreTypedErrors(t *testing.T) {
-	checks := []struct {
-		kind Kind
-		call func(string) error
-	}{
-		{KindScheduler, func(s string) error { _, err := Scheduler(s); return err }},
-		{KindQueueOrder, func(s string) error { _, err := QueueOrder(s); return err }},
-		{KindAdmission, func(s string) error { _, err := Admission(s); return err }},
-		{KindDispatch, func(s string) error { _, err := Dispatch(s); return err }},
-	}
-	for _, c := range checks {
-		err := c.call("no-such-policy")
+	for _, k := range []Kind{KindScheduler, KindQueueOrder, KindAdmission, KindDispatch} {
+		_, err := parse(k, "no-such-policy")
 		if err == nil {
-			t.Errorf("%s: unknown name accepted", c.kind)
+			t.Errorf("%s: unknown name accepted", k)
 			continue
 		}
 		if _, ok := cfgerr.As(err); !ok {
-			t.Errorf("%s: unknown-name error is not a *cfgerr.Error: %v", c.kind, err)
+			t.Errorf("%s: unknown-name error is not a *cfgerr.Error: %v", k, err)
 		}
 	}
 }

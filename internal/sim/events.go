@@ -23,6 +23,7 @@ const (
 	EvAbandon                    // the retry policy gave up on an evacuated job
 )
 
+// String returns the kind's lower-case name ("arrival", "fault-edge", …).
 func (k EventKind) String() string {
 	switch k {
 	case EvArrival:
@@ -74,6 +75,7 @@ type Event struct {
 	Class string
 }
 
+// String renders the event as "time kind [job=N] [core=N]" for logs.
 func (e Event) String() string {
 	s := fmt.Sprintf("%.6f %s", e.Time, e.Kind)
 	if e.Job >= 0 {

@@ -2,9 +2,8 @@ package sim
 
 import (
 	"sort"
-	"strings"
 
-	"dessched/internal/cfgerr"
+	"dessched/internal/names"
 )
 
 // QueueOrder selects the ready-queue discipline: the order in which the
@@ -37,43 +36,27 @@ const (
 	OrderPrioEDF
 )
 
-// String returns the canonical registry name ("fcfs", "sjf", "edf",
-// "prio-sjf", "prio-edf") that ParseQueueOrder accepts back.
-func (o QueueOrder) String() string {
-	switch o {
-	case OrderFCFS:
-		return "fcfs"
-	case OrderSJF:
-		return "sjf"
-	case OrderEDF:
-		return "edf"
-	case OrderPrioSJF:
-		return "prio-sjf"
-	case OrderPrioEDF:
-		return "prio-edf"
-	default:
-		return "unknown"
-	}
+// QueueOrders is the name table of the ready-queue disciplines:
+// ParseQueueOrder, String and the policy registry all read it.
+var QueueOrders = names.Table[QueueOrder]{
+	Domain: "sim", Field: "queue_order", Noun: "queue order",
+	Rows: []names.Row[QueueOrder]{
+		{Name: "fcfs", Summary: "arrival order (default; bit-identical to runs predating the knob)", Value: OrderFCFS},
+		{Name: "sjf", Summary: "ascending remaining demand", Value: OrderSJF},
+		{Name: "edf", Summary: "ascending deadline", Value: OrderEDF},
+		{Name: "prio-sjf", Aliases: []string{"priosjf"}, Summary: "descending class priority, then ascending remaining demand", Value: OrderPrioSJF},
+		{Name: "prio-edf", Aliases: []string{"prioedf"}, Summary: "descending class priority, then ascending deadline", Value: OrderPrioEDF},
+	},
 }
 
-// ParseQueueOrder maps a discipline name (as used by CLI flags and the
-// HTTP API) to its QueueOrder value. The empty string is OrderFCFS.
+// String returns the discipline's canonical name in QueueOrders.
+func (o QueueOrder) String() string { return names.NameOf(&QueueOrders, o) }
+
+// ParseQueueOrder resolves a discipline name or alias through QueueOrders;
+// the empty string is OrderFCFS. Unknown names are a *cfgerr.Error.
 func ParseQueueOrder(s string) (QueueOrder, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "fcfs":
-		return OrderFCFS, nil
-	case "sjf":
-		return OrderSJF, nil
-	case "edf":
-		return OrderEDF, nil
-	case "prio-sjf", "priosjf":
-		return OrderPrioSJF, nil
-	case "prio-edf", "prioedf":
-		return OrderPrioEDF, nil
-	default:
-		return 0, cfgerr.New("sim", "queue_order",
-			"sim: unknown queue order %q (want fcfs, sjf, edf, prio-sjf, or prio-edf)", s)
-	}
+	r, err := QueueOrders.Lookup(s)
+	return r.Value, err
 }
 
 // orderQueue applies the configured ready-queue discipline to the waiting

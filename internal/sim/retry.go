@@ -33,6 +33,7 @@ const (
 	PhaseDeparted                // left the system (see DepartReason)
 )
 
+// String returns the phase's lower-case name ("pending", "evacuated", …).
 func (p Phase) String() string {
 	switch p {
 	case PhasePending:

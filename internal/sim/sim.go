@@ -261,6 +261,8 @@ const (
 	Abandoned                  // the retry policy gave up after evacuation (attempts or deadline exhausted)
 )
 
+// String returns the reason's lower-case name ("completed", "deadline",
+// …), or "in-system" for a job that has not departed.
 func (r DepartReason) String() string {
 	switch r {
 	case Completed:

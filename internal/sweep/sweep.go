@@ -24,7 +24,6 @@ import (
 	"dessched/internal/cluster"
 	"dessched/internal/job"
 	"dessched/internal/quality"
-	"dessched/internal/registry"
 	"dessched/internal/sim"
 	"dessched/internal/telemetry"
 	"dessched/internal/workload"
@@ -155,7 +154,7 @@ func (g Grid) Validate() error {
 	if _, err := sim.ParseQueueOrder(g.QueueOrder); err != nil {
 		return err
 	}
-	ap, err := registry.Admission(g.Admission)
+	ap, err := admission.ParsePolicy(g.Admission)
 	if err != nil {
 		return err
 	}
@@ -174,7 +173,7 @@ func (g Grid) Validate() error {
 func (g Grid) applySLO(cfg *sim.Config) {
 	order, _ := sim.ParseQueueOrder(g.QueueOrder)
 	cfg.QueueOrder = order
-	ap, _ := registry.Admission(g.Admission)
+	ap, _ := admission.ParsePolicy(g.Admission)
 	if ap != admission.None {
 		cfg.Admission = admission.Config{Policy: ap, MaxQueue: g.MaxQueue}
 	}

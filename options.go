@@ -13,9 +13,7 @@ import (
 	"dessched/internal/telemetry/span"
 )
 
-// Cluster and sweep types, exported through the facade. (The pre-existing
-// Cluster alias names the emulated hardware testbed — see HardwareCluster —
-// not this simulated fleet.)
+// Cluster and sweep types, exported through the facade.
 type (
 	// ClusterConfig describes a simulated fleet of DES servers behind a
 	// dispatcher sharing a global power budget.
@@ -82,7 +80,7 @@ type (
 	ClusterTraceFile = telemetry.ClusterTrace
 
 	// HardwareCluster is the emulated hardware testbed used for the §V-G
-	// energy validation (same type as the legacy Cluster alias).
+	// energy validation.
 	HardwareCluster = hw.Cluster
 )
 
@@ -101,12 +99,6 @@ const (
 	// round-robins within it; unlisted classes spill to a global cursor.
 	DispatchByClass = cluster.ByClass
 )
-
-// ParseDispatchPolicy parses a dispatch policy name.
-//
-// Deprecated: use ParseDispatch, which resolves the same names through
-// the unified policy registry (see Policies).
-func ParseDispatchPolicy(s string) (DispatchPolicy, error) { return ParseDispatch(s) }
 
 // AsConfigError unwraps err (through any %w chains) to the typed
 // configuration error, reporting whether one was found.

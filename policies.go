@@ -3,6 +3,7 @@ package dessched
 import (
 	"io"
 
+	"dessched/internal/admission"
 	"dessched/internal/cluster"
 	"dessched/internal/experiments"
 	"dessched/internal/registry"
@@ -12,11 +13,11 @@ import (
 // Unified policy registry. Every named policy the simulator accepts —
 // scheduling policies, ready-queue disciplines, admission policies, and
 // cluster dispatch policies — is catalogued here with its canonical name,
-// aliases, and a one-line summary. The CLI, the HTTP API, and the facade
-// parse helpers below all resolve names through this registry, so every
-// layer accepts the same names and rejects unknown ones with the same
-// typed *ConfigError. Canonical names round-trip: parsing one yields a
-// value whose String() (or spec Name) is the canonical name again.
+// aliases, and a one-line summary. Each kind has one name table; the CLI,
+// the HTTP API, and the facade parse helpers below all resolve names
+// through it, so every layer accepts the same names and rejects unknown
+// ones with the same typed *ConfigError. Aliases canonicalize: parsing any
+// name yields a value whose String() (or spec Name) is the canonical name.
 type (
 	// PolicyInfo describes one registered policy (kind, canonical name,
 	// aliases, summary).
@@ -76,21 +77,22 @@ func PolicyNames(k PolicyKind) []string { return registry.Names(k) }
 // ParseQueueOrder resolves a ready-queue discipline by registry name
 // ("" and "fcfs" mean arrival order). Unknown names yield a typed
 // *ConfigError.
-func ParseQueueOrder(name string) (QueueOrder, error) { return registry.QueueOrder(name) }
+func ParseQueueOrder(name string) (QueueOrder, error) { return sim.ParseQueueOrder(name) }
 
 // ParseSchedulerPolicy resolves a per-server scheduling policy spec by
-// registry name ("" means "des"). The spec's New method mints fresh
-// policy instances; Configure applies the config adjustment the policy
-// implies (baseline triggers, architecture idle burn).
-func ParseSchedulerPolicy(name string) (SchedulerSpec, error) { return registry.Scheduler(name) }
+// registry name ("" means "des"); the spec's Name is the canonical name.
+// The spec's New method mints fresh policy instances; Configure applies
+// the config adjustment the policy implies (baseline triggers,
+// architecture idle burn). Unknown names yield a typed *ConfigError.
+func ParseSchedulerPolicy(name string) (SchedulerSpec, error) { return cluster.ParsePolicy(name) }
 
 // ParseAdmission resolves an admission policy by registry name ("" means
 // "none"). Unknown names yield a typed *ConfigError.
-func ParseAdmission(name string) (AdmissionPolicy, error) { return registry.Admission(name) }
+func ParseAdmission(name string) (AdmissionPolicy, error) { return admission.ParsePolicy(name) }
 
 // ParseDispatch resolves a cluster dispatch policy by registry name
 // ("" means "round-robin"). Unknown names yield a typed *ConfigError.
-func ParseDispatch(name string) (DispatchPolicy, error) { return registry.Dispatch(name) }
+func ParseDispatch(name string) (DispatchPolicy, error) { return cluster.ParseDispatch(name) }
 
 // Policy tournament: run a contender grid over one declarative workload
 // and report per-class dominance against a baseline (see RunTournament).

@@ -22,44 +22,39 @@ func TestPoliciesCatalogue(t *testing.T) {
 }
 
 func TestFacadeParsersAgree(t *testing.T) {
-	// Every catalogued name must resolve through its kind's facade parser.
-	for _, e := range Policies() {
-		var err error
-		switch e.Kind {
+	// Every catalogued name and alias must resolve through its kind's
+	// facade parser to the canonical name; unknown names are typed errors.
+	parse := func(k PolicyKind, name string) (string, error) {
+		switch k {
 		case PolicyScheduler:
-			_, err = ParseSchedulerPolicy(e.Name)
+			s, err := ParseSchedulerPolicy(name)
+			return s.Name, err
 		case PolicyQueueOrder:
-			_, err = ParseQueueOrder(e.Name)
+			v, err := ParseQueueOrder(name)
+			return v.String(), err
 		case PolicyAdmission:
-			_, err = ParseAdmission(e.Name)
-		case PolicyDispatch:
-			_, err = ParseDispatch(e.Name)
+			v, err := ParseAdmission(name)
+			return v.String(), err
+		default:
+			v, err := ParseDispatch(name)
+			return v.String(), err
 		}
-		if err != nil {
-			t.Errorf("%s %q: %v", e.Kind, e.Name, err)
+	}
+	for _, e := range Policies() {
+		for _, name := range append([]string{e.Name}, e.Aliases...) {
+			if got, err := parse(e.Kind, name); err != nil || got != e.Name {
+				t.Errorf("%s %q: parsed to %q, %v; want %q", e.Kind, name, got, err, e.Name)
+			}
+		}
+	}
+	for _, k := range []PolicyKind{PolicyScheduler, PolicyQueueOrder, PolicyAdmission, PolicyDispatch} {
+		if _, err := parse(k, "teleport"); err == nil {
+			t.Errorf("%s: teleport accepted", k)
+		} else if _, ok := AsConfigError(err); !ok {
+			t.Errorf("%s: unknown name is not a *ConfigError: %v", k, err)
 		}
 	}
 	if o, err := ParseQueueOrder("prio-sjf"); err != nil || o != OrderPrioSJF {
 		t.Errorf("ParseQueueOrder(prio-sjf) = %v, %v", o, err)
-	}
-	if _, err := ParseQueueOrder("lifo"); err == nil {
-		t.Error("ParseQueueOrder accepted lifo")
-	}
-}
-
-// TestDeprecatedParsersStillWork keeps the pre-registry entry points alive:
-// they are thin wrappers now but must behave identically.
-func TestDeprecatedParsersStillWork(t *testing.T) {
-	if p, err := ParseAdmissionPolicy("priority"); err != nil || p != AdmissionPriority {
-		t.Errorf("ParseAdmissionPolicy(priority) = %v, %v", p, err)
-	}
-	if _, err := ParseAdmissionPolicy("wat"); err == nil {
-		t.Error("ParseAdmissionPolicy accepted wat")
-	}
-	if d, err := ParseDispatchPolicy("by-class"); err != nil || d != DispatchByClass {
-		t.Errorf("ParseDispatchPolicy(by-class) = %v, %v", d, err)
-	}
-	if _, err := ParseDispatchPolicy("teleport"); err == nil {
-		t.Error("ParseDispatchPolicy accepted teleport")
 	}
 }
