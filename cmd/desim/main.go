@@ -684,43 +684,27 @@ func cmdSim(args []string) error {
 		}
 	}
 
-	// Instrumentation: a schedule trace (CSV and/or Perfetto), a metrics
-	// collector (-telemetry), and an event tally (-events) can all ride
-	// the same run; recorders and observers tee.
+	// Instrumentation rides the options API: a schedule trace (CSV and/or
+	// Perfetto), an event tally (-events), a metrics collector
+	// (-telemetry), spans, series and the flight recorder can all ride the
+	// same run. All are simulation-clock driven, so outputs are
+	// reproducible per seed.
+	var opts []dessched.SimOption
 	var rec *dessched.Trace
 	if *traceOut != "" || *perfettoOut != "" {
 		rec = dessched.NewTrace(*cores)
-	}
-	var reg *telemetry.Registry
-	var collector *telemetry.SimCollector
-	if *telemetryOut != "" {
-		reg = telemetry.NewRegistry()
-		collector = telemetry.NewSimCollector(reg, *cores)
-	}
-	switch {
-	case rec != nil && collector != nil:
-		cfg.Recorder = telemetry.MultiRecorder(rec, collector)
-	case rec != nil:
-		cfg.Recorder = rec
-	case collector != nil:
-		cfg.Recorder = collector
+		opts = append(opts, dessched.WithRecorder(rec))
 	}
 	var counter *dessched.EventCounter
 	if *events {
 		counter = dessched.NewEventCounter()
+		opts = append(opts, dessched.WithObserver(counter.Observe))
 	}
-	switch {
-	case counter != nil && collector != nil:
-		cfg.Observer = telemetry.MultiObserver(counter.Observe, collector.Observe)
-	case counter != nil:
-		cfg.Observer = counter.Observe
-	case collector != nil:
-		cfg.Observer = collector.Observe
+	var reg *dessched.MetricsRegistry
+	if *telemetryOut != "" {
+		reg = dessched.NewMetricsRegistry()
+		opts = append(opts, dessched.WithTelemetry(reg))
 	}
-
-	// Span / series instrumentation rides the options API; both are
-	// simulation-clock driven, so outputs are reproducible per seed.
-	var opts []dessched.SimOption
 	var spanTracer *dessched.SpanTracer
 	if fl.wantSpans() {
 		spanTracer = newSimTracer(fl.spansSample, *seed)
@@ -740,29 +724,27 @@ func cmdSim(args []string) error {
 		opts = append(opts, dessched.WithFlight(flightRec))
 	}
 
+	if *resumeIn != "" && len(opts) > 0 {
+		return fmt.Errorf("-resume cannot replay instrumentation; drop -trace/-perfetto/-telemetry/-events/-spans/-series/-live/-flight")
+	}
+
 	// Checkpointing keeps the latest engine snapshot on disk; resuming
 	// restores it under the same flags (the snapshot fingerprint rejects a
 	// drifted config). A resumed run carries the workload in the snapshot.
 	snapshots := 0
 	if *checkpointOut != "" {
-		cfg.Checkpoint = &dessched.SimCheckpointConfig{
-			Every: *checkpointEvery,
-			Sink: func(s *dessched.SimSnapshot) error {
-				b, err := dessched.EncodeSimSnapshot(s)
-				if err != nil {
-					return err
-				}
-				snapshots++
-				return os.WriteFile(*checkpointOut, b, 0o644)
-			},
-		}
+		opts = append(opts, dessched.WithCheckpoint(*checkpointEvery, func(s *dessched.SimSnapshot) error {
+			b, err := dessched.EncodeSimSnapshot(s)
+			if err != nil {
+				return err
+			}
+			snapshots++
+			return os.WriteFile(*checkpointOut, b, 0o644)
+		}))
 	}
 
 	var res dessched.Result
 	if *resumeIn != "" {
-		if cfg.Recorder != nil || cfg.Observer != nil || len(opts) > 0 {
-			return fmt.Errorf("-resume cannot replay instrumentation; drop -trace/-perfetto/-telemetry/-events/-spans/-series/-live/-flight")
-		}
 		b, err := os.ReadFile(*resumeIn)
 		if err != nil {
 			return err
@@ -771,7 +753,7 @@ func cmdSim(args []string) error {
 		if err != nil {
 			return err
 		}
-		if res, err = dessched.ResumeSimulation(cfg, p, snap); err != nil {
+		if res, err = dessched.ResumeSimulation(cfg, p, snap, opts...); err != nil {
 			return err
 		}
 	} else {
@@ -836,8 +818,7 @@ func cmdSim(args []string) error {
 		}
 		fmt.Printf("perfetto: %d slices written to %s (load in https://ui.perfetto.dev)\n", len(rec.Entries), *perfettoOut)
 	}
-	if collector != nil {
-		collector.Finish(res)
+	if reg != nil {
 		f, err := os.Create(*telemetryOut)
 		if err != nil {
 			return err

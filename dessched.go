@@ -227,25 +227,11 @@ func NewStaticPowerDES(arch Arch) Policy { return core.NewStaticPower(arch) }
 // Simulate runs the policy over the job stream and returns the aggregate
 // quality/energy result. Options customize the run without touching the
 // config: WithContext for cancelation, WithObserver/WithRecorder for event
-// and schedule hooks, WithTelemetry for a full metrics collector, and
-// WithChaos for an injected fault schedule. Calls without options behave
-// exactly as before.
+// and schedule hooks, WithTelemetry for a full metrics collector, WithChaos
+// for an injected fault schedule, and WithCheckpoint for periodic
+// snapshots. No option changes the result.
 func Simulate(cfg ServerConfig, jobs []Job, p Policy, opts ...SimOption) (Result, error) {
-	if len(opts) == 0 {
-		return sim.Run(cfg, jobs, p)
-	}
-	run, finish, err := applyOptions(cfg, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sim.Run(run, jobs, p)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, f := range finish {
-		f(res)
-	}
-	return res, nil
+	return simulate(cfg, opts, func(run ServerConfig) (*sim.Stream, error) { return sim.Start(run, jobs, p) })
 }
 
 // GenerateWorkload synthesizes a request stream (deterministic per seed).

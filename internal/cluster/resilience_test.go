@@ -268,11 +268,6 @@ func TestClusterCheckpointRejects(t *testing.T) {
 	if _, err := Run(bad, jobs); !errors.As(err, &ce) {
 		t.Errorf("checkpoint+instrument accepted: %v", err)
 	}
-	tmpl := cfg
-	tmpl.Server.Checkpoint = &sim.CheckpointConfig{Every: 1, Sink: func(*sim.Snapshot) error { return nil }}
-	if _, err := Run(tmpl, jobs); !errors.As(err, &ce) {
-		t.Errorf("sim checkpoint on the server template accepted: %v", err)
-	}
 	noSink := cfg
 	noSink.StreamCheckpoint = &StreamCheckpointConfig{Every: 1}
 	if _, err := Run(noSink, jobs); !errors.As(err, &ce) {

@@ -1,16 +1,17 @@
-// Checkpoint/resume: crash recovery for long simulation runs. Every
-// CheckpointConfig.Every simulated seconds the engine serializes its
-// complete state — jobs, cores, every pending event with its sequence
-// number and the queue's sequence counter, every counter, and (for
-// stateful policies) the policy's own cursor — into a versioned Snapshot.
-// Resume rebuilds an engine from a snapshot and drives it to completion;
-// the result is bit-identical (Float64bits) to the uninterrupted run.
+// Checkpoint/resume: crash recovery for long simulation runs. Between two
+// Advance calls a session (Stream.Snapshot) serializes its complete engine
+// state — the jobs not yet folded into the result, cores, every pending
+// event with its sequence number and the queue's sequence counter, every
+// counter, and (for stateful policies) the policy's own cursor — into a
+// versioned Snapshot. RestoreStream rebuilds the session; finishing it
+// gives a result bit-identical (Float64bits) to the uninterrupted run's.
 //
 // Two properties make byte-identity possible:
 //
-//   - Checkpoint events are bookkeeping-free. They do not count as processed
-//     events, settle no cores, and skip the power audit — a checkpointed run
-//     is indistinguishable from an unchecked one (see the run loop).
+//   - Snapshots are taken between Advance calls, outside the event loop:
+//     taking one processes no event, settles no core and skips the power
+//     audit, so a checkpointed run is indistinguishable from an unchecked
+//     one.
 //   - Every pending event is serialized with its insertion sequence number:
 //     the heap's items in heap-array order, then the arrival and deadline
 //     events of the jobs not yet arrived, which the engine keeps outside
@@ -19,10 +20,11 @@
 //     events.
 //
 // Snapshots carry a fingerprint of the configuration and policy (FNV-1a
-// over every scalar, fault window, admission/retry setting, and probe
-// evaluations of the quality function); Resume refuses a snapshot whose
-// fingerprint does not match the offered configuration, so state is never
-// silently replayed under different physics.
+// over every scalar, fault window, queue order, class priority,
+// admission/retry setting, and probe evaluations of the quality function);
+// RestoreStream refuses a snapshot whose fingerprint does not match the
+// offered configuration, so state is never silently replayed under
+// different physics.
 package sim
 
 import (
@@ -42,33 +44,14 @@ import (
 // rejects any other value.
 const SnapshotVersion = "dessched-checkpoint/v1"
 
-// CheckpointConfig turns on periodic engine snapshots.
-type CheckpointConfig struct {
-	// Every is the snapshot period in simulated seconds, measured from the
-	// first job release. Required (> 0).
-	Every float64
-
-	// Sink receives each snapshot. A non-nil error aborts the run with it.
-	// The snapshot is fully detached from engine state; sinks may retain or
-	// serialize it at leisure.
-	Sink func(*Snapshot) error
-}
-
-// Validate reports configuration errors as typed *cfgerr.Error values.
-func (c *CheckpointConfig) Validate() error {
-	if c.Every <= 0 || math.IsNaN(c.Every) || math.IsInf(c.Every, 0) {
-		return cfgerr.New("sim", "checkpoint", "sim: checkpoint period must be positive and finite, got %g", c.Every)
-	}
-	if c.Sink == nil {
-		return cfgerr.New("sim", "checkpoint", "sim: checkpoint sink is required")
-	}
-	return nil
-}
+// legacyCheckpointKind is the event kind the retired sim-time checkpoint
+// timer wrote into its snapshots' event lists. Restore drops such events.
+const legacyCheckpointKind = 6
 
 // StatefulPolicy is the optional interface of policies that carry semantic
 // state across invocations (e.g. DES's cumulative round-robin cursor).
-// Checkpointing saves the state blob into the snapshot; Resume loads it
-// back before the run continues. Policies whose cross-invocation state is
+// Checkpointing saves the state blob into the snapshot; RestoreStream loads
+// it back before the run continues. Policies whose cross-invocation state is
 // a pure cache (recomputable memo tables, scratch buffers) need not
 // implement it.
 type StatefulPolicy interface {
@@ -85,7 +68,7 @@ type Snapshot struct {
 	Now          float64 `json:"now"` // checkpoint instant
 	FirstRelease float64 `json:"first_release"`
 
-	Jobs  []jobSnap  `json:"jobs"`  // every job, arrival-push order (departed included)
+	Jobs  []jobSnap  `json:"jobs"`  // jobs not yet folded, arrival-push order (departed included)
 	Queue []int      `json:"queue"` // waiting queue as indices into Jobs
 	Cores []coreSnap `json:"cores"`
 
@@ -97,9 +80,8 @@ type Snapshot struct {
 	// PolicyState is the opaque blob of a StatefulPolicy, absent otherwise.
 	PolicyState json.RawMessage `json:"policy_state,omitempty"`
 
-	// Stream carries the extra session state of a streamed engine
-	// (Stream.Snapshot); absent on batch-run snapshots, so their encoding
-	// is unchanged. See stream_snapshot.go.
+	// Stream carries the session state (Stream.Snapshot); absent only in
+	// legacy files of the retired checkpoint timer. See stream_snapshot.go.
 	Stream *StreamState `json:"stream,omitempty"`
 }
 
@@ -160,15 +142,14 @@ type counterSnap struct {
 	RetryQuality     float64 `json:"retry_quality"`
 	QuantumLive      bool    `json:"quantum_live"`
 	EventsProcessed  int     `json:"events_processed"`
-	Checkpoints      int     `json:"checkpoints"`
 }
 
-// snapshot serializes the engine at time now into a detached Snapshot.
+// snapshot serializes the engine at time now into a detached Snapshot;
+// Stream.Snapshot adds the fingerprint and the session state.
 func (e *engine) snapshot(now float64) *Snapshot {
 	jobIdx := make(map[*JobState]int, len(e.all))
 	snap := &Snapshot{
 		Version:      SnapshotVersion,
-		Fingerprint:  fingerprintConfig(&e.cfg, e.policy.Name()),
 		Policy:       e.policy.Name(),
 		Now:          now,
 		FirstRelease: e.firstRelease,
@@ -186,7 +167,6 @@ func (e *engine) snapshot(now float64) *Snapshot {
 			RetryQuality:     e.retryQuality,
 			QuantumLive:      e.quantumLive,
 			EventsProcessed:  e.eventsProcessed,
-			Checkpoints:      e.checkpoints,
 		},
 	}
 	snap.Jobs = make([]jobSnap, len(e.all))
@@ -290,7 +270,7 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 // event, a deadline event off its job's deadline, negative progress, an
 // event before the checkpoint instant) would otherwise surface later as a
 // panic or a run that never ends. It does not need (and cannot check) the
-// configuration — Resume does that via the fingerprint.
+// configuration — RestoreStream does that via the fingerprint.
 func (s *Snapshot) validate() error {
 	bad := func(reason string, args ...any) error {
 		return cfgerr.New("sim", "checkpoint", "sim: invalid snapshot: "+reason, args...)
@@ -406,7 +386,7 @@ func (s *Snapshot) validate() error {
 	drained := s.Stream != nil && s.Stream.Drained
 	hasDeadline := make([]bool, n)
 	for i, ev := range s.Events {
-		if ev.Kind > uint8(evkCheckpoint) {
+		if ev.Kind > legacyCheckpointKind {
 			return bad("event %d kind %d unknown", i, ev.Kind)
 		}
 		if ev.Job < -1 || ev.Job >= n {
@@ -460,44 +440,14 @@ func eventKindName(k evKind) string {
 		return "fault-edge"
 	case evkRetry:
 		return "retry"
-	case evkCheckpoint:
-		return "checkpoint"
 	default:
 		return "unknown"
 	}
 }
 
-// Resume rebuilds an engine from a snapshot and drives it to completion.
-// The configuration and policy must match the run that produced the
-// snapshot (checked via the fingerprint); the result is bit-identical to
-// the uninterrupted run's.
-func Resume(cfg Config, p Policy, snap *Snapshot) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := snap.validate(); err != nil {
-		return Result{}, err
-	}
-	if snap.Policy != p.Name() {
-		return Result{}, cfgerr.New("sim", "checkpoint", "sim: snapshot was taken under policy %q, resuming with %q", snap.Policy, p.Name())
-	}
-	if want := fingerprintConfig(&cfg, p.Name()); snap.Fingerprint != want {
-		return Result{}, cfgerr.New("sim", "checkpoint", "sim: snapshot fingerprint %#x does not match configuration %#x — resume needs the exact config of the original run", snap.Fingerprint, want)
-	}
-	if snap.Stream != nil {
-		return Result{}, cfgerr.New("sim", "checkpoint", "sim: snapshot was taken from a streamed session; resume it with RestoreStream")
-	}
-	e, err := restoreEngine(cfg, p, snap)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.run()
-}
-
 // restoreEngine rebuilds an engine from a snapshot without driving it — the
-// structural core shared by Resume (batch) and RestoreStream (streamed).
-// The caller has already validated the configuration, snapshot, policy
-// name, and fingerprint.
+// structural core of RestoreStream. The caller has already validated the
+// configuration, snapshot, policy name, and fingerprint.
 func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 	if len(snap.Cores) != cfg.Cores {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot has %d cores, config %d", len(snap.Cores), cfg.Cores)
@@ -559,7 +509,6 @@ func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 	e.retryQuality = c.RetryQuality
 	e.quantumLive = c.QuantumLive
 	e.eventsProcessed = c.EventsProcessed
-	e.checkpoints = c.Checkpoints
 	e.firstRelease = snap.FirstRelease
 
 	if sp, ok := p.(StatefulPolicy); ok && len(snap.PolicyState) > 0 {
@@ -572,9 +521,10 @@ func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 
 // restoreEvents rebuilds the engine's event set from a snapshot's event
 // list. Arrival events, and the deadline events of the jobs they belong
-// to, go back to the arrival list; everything else goes into the heap.
-// Every pending arrival must come with its deadline event under the next
-// sequence number, as the engine always writes them.
+// to, go back to the arrival list; legacy checkpoint timer events are
+// dropped; everything else goes into the heap. Every pending arrival must
+// come with its deadline event under the next sequence number, as the
+// engine always writes them.
 func (e *engine) restoreEvents(snap *Snapshot) error {
 	bad := func(reason string, args ...any) error {
 		return cfgerr.New("sim", "checkpoint", "sim: invalid snapshot: "+reason, args...)
@@ -602,7 +552,7 @@ func (e *engine) restoreEvents(snap *Snapshot) error {
 	items := make([]eventq.Item[simEvent], 0, len(snap.Events))
 	for _, es := range snap.Events {
 		k := evKind(es.Kind)
-		if k == evkArrival {
+		if k == evkArrival || es.Kind == legacyCheckpointKind {
 			continue
 		}
 		if seq, pending := arrival[es.Job]; pending && k == evkDeadline {
@@ -667,6 +617,23 @@ func fingerprintConfig(cfg *Config, policy string) uint64 {
 			for _, x := range [...]float64{1, 10, 100, 500, 1000} {
 				f.f64(q.Eval(x))
 			}
+		}
+	}
+	// So are the queue order and the class priorities, as the cluster
+	// fingerprint hashes them: FCFS runs without tiers keep theirs.
+	if cfg.QueueOrder != OrderFCFS {
+		f.i(int(cfg.QueueOrder))
+	}
+	if len(cfg.ClassPriority) > 0 {
+		names := make([]string, 0, len(cfg.ClassPriority))
+		for name := range cfg.ClassPriority {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		f.i(len(names))
+		for _, name := range names {
+			f.str(name)
+			f.i(cfg.ClassPriority[name])
 		}
 	}
 	f.f64(cfg.Triggers.Quantum)

@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"dessched/internal/cfgerr"
@@ -117,9 +119,34 @@ func sameResult(t *testing.T, label string, got, want sim.Result) {
 	}
 }
 
-// Checkpointing must be invisible: a run that snapshots every 200 ms is
-// bit-identical to the same run without checkpointing.
+// checkpointed runs the workload as one session snapshotted every `every`
+// seconds through sink, then finishes it.
+func checkpointed(cfg sim.Config, jobs []job.Job, every float64, sink func(*sim.Snapshot) error) (sim.Result, error) {
+	st, err := sim.Start(cfg, jobs, core.New(core.CDVFS))
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if err := st.Checkpoint(every, sink); err != nil {
+		return sim.Result{}, err
+	}
+	return st.Finish()
+}
+
+// resumed restores a snapshot and finishes the session.
+func resumed(cfg sim.Config, p sim.Policy, snap *sim.Snapshot) (sim.Result, error) {
+	st, err := sim.RestoreStream(cfg, p, snap)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return st.Finish()
+}
+
+// Checkpointing must be invisible: a run snapshotted every 100–500 ms is
+// bit-identical to the same run without checkpointing, and takes as many
+// snapshots as the sim-time checkpoint timer it replaced did.
 func TestCheckpointTransparent(t *testing.T) {
+	// Snapshot counts of the retired timer, per period, on every scenario.
+	timer := map[float64]int{0.1: 21, 0.2: 10, 0.3: 7, 0.5: 4}
 	for _, sc := range checkpointScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg, _, bursts := sc.build(t)
@@ -129,21 +156,17 @@ func TestCheckpointTransparent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			var snaps []*sim.Snapshot
-			ck := cfg
-			ck.Checkpoint = &sim.CheckpointConfig{
-				Every: 0.2,
-				Sink:  func(s *sim.Snapshot) error { snaps = append(snaps, s); return nil },
+			for every, want := range timer {
+				n := 0
+				got, err := checkpointed(cfg, jobs, every, func(*sim.Snapshot) error { n++; return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != want {
+					t.Errorf("every %g s: %d snapshots, want %d", every, n, want)
+				}
+				sameResult(t, fmt.Sprintf("checkpointed every %g s", every), got, base)
 			}
-			got, err := sim.Run(ck, jobs, core.New(core.CDVFS))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(snaps) < 2 {
-				t.Fatalf("only %d snapshots over a ~2 s run at 0.2 s period", len(snaps))
-			}
-			sameResult(t, "checkpointed", got, base)
 		})
 	}
 }
@@ -163,12 +186,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 
 			var snaps []*sim.Snapshot
-			ck := cfg
-			ck.Checkpoint = &sim.CheckpointConfig{
-				Every: 0.2,
-				Sink:  func(s *sim.Snapshot) error { snaps = append(snaps, s); return nil },
-			}
-			if _, err := sim.Run(ck, jobs, core.New(core.CDVFS)); err != nil {
+			if _, err := checkpointed(cfg, jobs, 0.2, func(s *sim.Snapshot) error { snaps = append(snaps, s); return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if len(snaps) < 2 {
@@ -185,9 +203,7 @@ func TestResumeBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Resume without further checkpointing: the restored heap
-				// still carries a checkpoint event, which must be dropped.
-				got, err := sim.Resume(cfg, core.New(core.CDVFS), snap)
+				got, err := resumed(cfg, core.New(core.CDVFS), snap)
 				if err != nil {
 					t.Fatalf("resume from snapshot %d: %v", k, err)
 				}
@@ -212,43 +228,51 @@ func TestResumeAfterCrash(t *testing.T) {
 	crash := errors.New("disk full")
 	var last *sim.Snapshot
 	n := 0
-	ck := cfg
-	ck.Checkpoint = &sim.CheckpointConfig{
-		Every: 0.2,
-		Sink: func(s *sim.Snapshot) error {
-			if n++; n > 2 {
-				return crash
-			}
-			last = s
-			return nil
-		},
+	sink := func(s *sim.Snapshot) error {
+		if n++; n > 2 {
+			return crash
+		}
+		last = s
+		return nil
 	}
-	if _, err := sim.Run(ck, jobs, core.New(core.CDVFS)); !errors.Is(err, crash) {
+	if _, err := checkpointed(cfg, jobs, 0.2, sink); !errors.Is(err, crash) {
 		t.Fatalf("crashed run returned %v, want the sink error", err)
 	}
 	if last == nil {
 		t.Fatal("no snapshot survived the crash")
 	}
-	got, err := sim.Resume(cfg, core.New(core.CDVFS), last)
+	got, err := resumed(cfg, core.New(core.CDVFS), last)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "crash-resume", got, base)
 }
 
-// Resume must refuse a snapshot taken under different physics or policy.
+// The checkpoint driver refuses a period that is not positive and finite,
+// or too small to move the clock, and a nil sink, with typed errors.
+func TestCheckpointRejectsBadPeriodOrSink(t *testing.T) {
+	sc := checkpointScenarios()[0]
+	cfg, _, bursts := sc.build(t)
+	jobs := sc.stream(t, bursts)
+	var ce *cfgerr.Error
+	for _, every := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-300} {
+		if _, err := checkpointed(cfg, jobs, every, func(*sim.Snapshot) error { return nil }); !errors.As(err, &ce) {
+			t.Errorf("period %g: err = %v, want *cfgerr.Error", every, err)
+		}
+	}
+	if _, err := checkpointed(cfg, jobs, 0.2, nil); !errors.As(err, &ce) {
+		t.Errorf("nil sink: err = %v, want *cfgerr.Error", err)
+	}
+}
+
+// Restoring must refuse a snapshot taken under different physics or policy.
 func TestResumeRejectsMismatch(t *testing.T) {
 	sc := checkpointScenarios()[0]
 	cfg, _, bursts := sc.build(t)
 	jobs := sc.stream(t, bursts)
 
 	var snap *sim.Snapshot
-	ck := cfg
-	ck.Checkpoint = &sim.CheckpointConfig{
-		Every: 0.2,
-		Sink:  func(s *sim.Snapshot) error { snap = s; return nil },
-	}
-	if _, err := sim.Run(ck, jobs, core.New(core.CDVFS)); err != nil {
+	if _, err := checkpointed(cfg, jobs, 0.2, func(s *sim.Snapshot) error { snap = s; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
@@ -258,10 +282,52 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	wrongBudget := cfg
 	wrongBudget.Budget = cfg.Budget * 2
 	var ce *cfgerr.Error
-	if _, err := sim.Resume(wrongBudget, core.New(core.CDVFS), snap); !errors.As(err, &ce) {
+	if _, err := resumed(wrongBudget, core.New(core.CDVFS), snap); !errors.As(err, &ce) {
 		t.Errorf("resume under a different budget: err = %v, want *cfgerr.Error", err)
 	}
-	if _, err := sim.Resume(cfg, core.NewPlainRR(core.CDVFS), snap); err == nil {
+	if _, err := resumed(cfg, core.NewPlainRR(core.CDVFS), snap); err == nil {
 		t.Error("resume under a different policy accepted")
+	}
+	// The queue order and the class priorities decide which job the policy
+	// sees first, so a drift in either is a different experiment.
+	wrongOrder := cfg
+	wrongOrder.QueueOrder = sim.OrderSJF
+	if _, err := resumed(wrongOrder, core.New(core.CDVFS), snap); !errors.As(err, &ce) {
+		t.Errorf("resume under a different queue order: err = %v, want *cfgerr.Error", err)
+	}
+	wrongTiers := cfg
+	wrongTiers.ClassPriority = map[string]int{"gold": 1}
+	if _, err := resumed(wrongTiers, core.New(core.CDVFS), snap); !errors.As(err, &ce) {
+		t.Errorf("resume under different class priorities: err = %v, want *cfgerr.Error", err)
+	}
+}
+
+// The fingerprint hashes the queue order and the class priorities only
+// when they are set, so FCFS runs without priorities keep the fingerprint
+// they had before either field was hashed.
+func TestFingerprintQueueOrderAndPriorities(t *testing.T) {
+	cfg := sim.PaperConfig()
+	const fcfs = 0x98a7bccbc2f7741f // PaperConfig under "des", as fingerprinted before either field was hashed
+	if got := sim.FingerprintConfig(&cfg, "des"); got != fcfs {
+		t.Errorf("FCFS fingerprint %#x, want %#x", got, uint64(fcfs))
+	}
+	seen := map[uint64]string{fcfs: "fcfs"}
+	for _, o := range []sim.QueueOrder{sim.OrderSJF, sim.OrderEDF, sim.OrderPrioSJF, sim.OrderPrioEDF} {
+		c := cfg
+		c.QueueOrder = o
+		fp := sim.FingerprintConfig(&c, "des")
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("order %v fingerprints like %s", o, prev)
+		}
+		seen[fp] = o.String()
+	}
+	for _, tiers := range []map[string]int{{"gold": 1}, {"gold": 2}, {"gold": 1, "bulk": 0}} {
+		c := cfg
+		c.ClassPriority = tiers
+		fp := sim.FingerprintConfig(&c, "des")
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("priorities %v fingerprint like %s", tiers, prev)
+		}
+		seen[fp] = fmt.Sprint(tiers)
 	}
 }

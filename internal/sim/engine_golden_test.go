@@ -106,7 +106,7 @@ func observed(cfg *sim.Config) func(*digest) {
 	}
 }
 
-func goldenJobs(t *testing.T, rate, duration float64, seed uint64) []job.Job {
+func goldenJobs(t testing.TB, rate, duration float64, seed uint64) []job.Job {
 	t.Helper()
 	wl := workload.DefaultConfig(rate)
 	wl.Duration = duration
@@ -259,7 +259,7 @@ func batchCheckpointConfig() sim.Config {
 	return c
 }
 
-func batchCheckpointJobs(t *testing.T) []job.Job { return goldenJobs(t, 80, 1.5, 13) }
+func batchCheckpointJobs(t testing.TB) []job.Job { return goldenJobs(t, 80, 1.5, 13) }
 
 func streamGoldenConfig() sim.Config {
 	c := sim.PaperConfig()
@@ -364,11 +364,17 @@ func readSnapshot(t *testing.T, name string) *sim.Snapshot {
 
 // The fixtures are snapshots written by the engine that pushed every
 // arrival and deadline into the heap up front: their event lists hold the
-// arrival and deadline events of every job not yet arrived. Resuming them
-// must still reproduce the uninterrupted run bit for bit.
+// arrival and deadline events of every job not yet arrived. The batch one
+// is a legacy file of the retired sim-time checkpoint timer: no session
+// state, every job of the workload, and the timer's next event. Resuming
+// them must still reproduce the uninterrupted run bit for bit.
 func TestResumeSnapshotsWithPendingArrivals(t *testing.T) {
 	t.Run("batch", func(t *testing.T) {
-		res, err := sim.Resume(batchCheckpointConfig(), core.New(core.CDVFS), readSnapshot(t, "checkpoint-v1-batch.json"))
+		st, err := sim.RestoreStream(batchCheckpointConfig(), core.New(core.CDVFS), readSnapshot(t, "checkpoint-v1-batch.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +433,7 @@ func TestResumeRejectsInconsistentPendingArrivals(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			snap := readSnapshot(t, "checkpoint-v1-batch.json")
 			corrupt(snap)
-			_, err := sim.Resume(batchCheckpointConfig(), core.New(core.CDVFS), snap)
+			_, err := sim.RestoreStream(batchCheckpointConfig(), core.New(core.CDVFS), snap)
 			var ce *cfgerr.Error
 			if !errors.As(err, &ce) {
 				t.Fatalf("resume error %v, want a *cfgerr.Error", err)
@@ -459,30 +465,11 @@ func sameEventSet(a, b *sim.Snapshot) bool {
 	return slices.Equal(set(a), set(b))
 }
 
-// A snapshot lists the same state as before the split: the same jobs,
-// cores, counters and sequence counter, and the same set of events — the
-// pending arrivals and their deadlines included — only the heap-array
+// A session snapshot lists the same state as before the split: the same
+// jobs, cores, counters and sequence counter, and the same set of events —
+// the pending arrivals and their deadlines included — only the heap-array
 // order of the event list differs.
 func TestSnapshotFormatUnchanged(t *testing.T) {
-	cfg := batchCheckpointConfig()
-	var snaps []*sim.Snapshot
-	cfg.Checkpoint = &sim.CheckpointConfig{Every: 0.4, Sink: func(s *sim.Snapshot) error { snaps = append(snaps, s); return nil }}
-	if _, err := sim.Run(cfg, batchCheckpointJobs(t), core.New(core.CDVFS)); err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("%d snapshots", len(snaps))
-	}
-	check := func(t *testing.T, got, want *sim.Snapshot) {
-		t.Helper()
-		if g, w := withoutEvents(got), withoutEvents(want); string(g) != string(w) {
-			t.Errorf("snapshot state differs:\n%s\nwant\n%s", g, w)
-		}
-		if !sameEventSet(got, want) {
-			t.Errorf("event sets differ: %d events, want %d", len(got.Events), len(want.Events))
-		}
-	}
-	t.Run("batch", func(t *testing.T) { check(t, snaps[1], readSnapshot(t, "checkpoint-v1-batch.json")) })
 	t.Run("stream", func(t *testing.T) {
 		st, err := sim.NewStream(streamGoldenConfig(), core.New(core.CDVFS))
 		if err != nil {
@@ -490,6 +477,12 @@ func TestSnapshotFormatUnchanged(t *testing.T) {
 		}
 		var got *sim.Snapshot
 		streamEpochs(t, st, streamGoldenSource(t), 1, false, 3, func(s *sim.Snapshot) { got = s })
-		check(t, got, readSnapshot(t, "checkpoint-v1-stream.json"))
+		want := readSnapshot(t, "checkpoint-v1-stream.json")
+		if g, w := withoutEvents(got), withoutEvents(want); string(g) != string(w) {
+			t.Errorf("snapshot state differs:\n%s\nwant\n%s", g, w)
+		}
+		if !sameEventSet(got, want) {
+			t.Errorf("event sets differ: %d events, want %d", len(got.Events), len(want.Events))
+		}
 	})
 }

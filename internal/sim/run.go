@@ -111,8 +111,7 @@ const (
 	evkSegment
 	evkQuantum
 	evkFaultEdge
-	evkRetry      // a retry backoff expired; the job re-enters the queue
-	evkCheckpoint // snapshot the engine (bookkeeping-free: see the run loop)
+	evkRetry // a retry backoff expired; the job re-enters the queue
 )
 
 // simEvent is the compact value payload of the event queue. One flat struct
@@ -162,16 +161,15 @@ type engine struct {
 	undeparted    int
 	lastDeparture float64
 
-	// moreArrivals marks a streamed run that expects further Feed calls:
-	// the periodic quantum stays alive and the run does not stop when the
-	// system momentarily drains. Always false in batch runs, where
-	// arrivals already holds every future arrival.
+	// moreArrivals marks a session that expects further Feed calls: the
+	// periodic quantum stays alive and the run does not stop when the
+	// system momentarily drains. False once arrivals holds every future
+	// arrival (ExpectMore(false); Start sets it so at once).
 	moreArrivals bool
 
-	// fold, when non-nil, accumulates per-job result statistics as the
-	// streamed engine retires departed jobs from e.all (see Stream). Batch
-	// runs leave it nil and fold everything in result().
-	fold *resultFold
+	// fold accumulates per-job result statistics as the session retires
+	// departed jobs from e.all (Stream.compact); result() folds the rest.
+	fold resultFold
 
 	invocations      int
 	peakPower        float64
@@ -184,7 +182,6 @@ type engine struct {
 	quantumLive      bool
 	eventsProcessed  int
 	firstRelease     float64
-	checkpoints      int // snapshots written so far (resumes continue the count)
 
 	// Hot-path caches. powCache memoizes the last speed→power conversion
 	// per core (plans hold a speed constant across many events), idlePower
@@ -210,63 +207,20 @@ type engine struct {
 }
 
 // Run simulates the policy over the job stream and returns the aggregate
-// result. Jobs must be valid with deadlines agreeable within each class
+// result: a session opened on the whole slice (Start) and finished. Jobs
+// must be valid with deadlines agreeable within each class
 // (job.ValidateAllByClass); unclassed streams must be globally agreeable.
 func Run(cfg Config, jobs []job.Job, p Policy) (Result, error) {
-	e, err := newBatchEngine(cfg, jobs, p)
+	st, err := Start(cfg, jobs, p)
 	if err != nil {
 		return Result{}, err
 	}
-	if len(jobs) == 0 {
-		return e.result(0, 0), nil
-	}
-	return e.run()
-}
-
-// newBatchEngine validates a batch run and builds its engine: every job
-// pending, the run's static events queued.
-func newBatchEngine(cfg Config, jobs []job.Job, p Policy) (*engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := job.ValidateAllByClass(jobs); err != nil {
-		return nil, err
-	}
-	e := newEngine(cfg, p)
-	e.addArrivals(jobs)
-	if len(jobs) == 0 {
-		return e, nil
-	}
-	e.start(e.arrivals[0].js.Job.Release)
-	for _, f := range cfg.BudgetFaults {
-		e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
-		e.events.Push(f.End, simEvent{kind: evkFaultEdge})
-	}
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 {
-		e.events.Push(e.firstRelease+cfg.Checkpoint.Every, simEvent{kind: evkCheckpoint})
-	}
-	return e, nil
-}
-
-// start opens a run once its first arrivals are pending: it records the
-// first release and queues the quantum tick there, then the core fault
-// edges. Budget-fault edges follow, pushed by the caller.
-func (e *engine) start(firstRelease float64) {
-	e.firstRelease = firstRelease
-	if e.cfg.Triggers.Quantum > 0 {
-		e.events.Push(firstRelease, simEvent{kind: evkQuantum})
-		e.quantumLive = true
-	}
-	for _, f := range e.cfg.Faults {
-		e.events.Push(f.Start, simEvent{kind: evkFaultEdge})
-		if !math.IsInf(f.End, 1) {
-			e.events.Push(f.End, simEvent{kind: evkFaultEdge})
-		}
-	}
+	return st.Finish()
 }
 
 // newEngine builds an engine shell — cores, policy state view, power
-// caches — without any job or event state. Run and Resume populate it.
+// caches — without any job or event state. NewStream and RestoreStream
+// populate it.
 func newEngine(cfg Config, p Policy) *engine {
 	e := &engine{cfg: cfg, policy: p}
 	e.cores = make([]*CoreState, cfg.Cores)
@@ -289,7 +243,7 @@ func newEngine(cfg Config, p Policy) *engine {
 // reserves the two sequence numbers its arrival and deadline events would
 // have taken had both been pushed now, so keeping them out of the heap
 // until the job arrives changes no tie-break. The pending list stays
-// ordered by (release, seq); batch callers may pass jobs in any order.
+// ordered by (release, seq); Start may pass jobs in any order.
 func (e *engine) addArrivals(jobs []job.Job) {
 	if e.nextArrival > 0 {
 		// Drop the consumed prefix so a long-lived stream's list stays
@@ -356,55 +310,12 @@ func (e *engine) nextEvent(until float64) (it eventq.Item[simEvent], ok bool) {
 // 1024 events, keeping the hot loop unchanged when no one cancels.
 const contextPollMask = 1023
 
-// run drives the event loop to completion — the shared core of Run, Resume,
-// and Stream.Finish. The engine must be fully populated (events, jobs,
-// counters).
-func (e *engine) run() (Result, error) {
-	for {
-		it, ok := e.nextEvent(math.Inf(1))
-		if !ok {
-			break
-		}
-		stop, err := e.processEvent(it)
-		if err != nil {
-			return Result{}, err
-		}
-		if stop {
-			break
-		}
-	}
-	// Final settle so energy accounting is complete.
-	last := e.lastDeparture
-	for _, c := range e.cores {
-		e.settleCore(c, last)
-	}
-	return e.result(e.firstRelease, last), nil
-}
-
-// processEvent handles one popped event — the loop body shared by run and
-// Stream.Advance. It returns stop = true once every job has departed and no
-// further arrivals are possible; the caller must not process more events
-// after that (trailing events stay unpopped and uncounted).
+// processEvent handles one popped event — the body of Stream.Advance's
+// loop. It returns stop = true once every job has departed and no further
+// arrivals are possible; the caller must not process more events after
+// that (trailing events stay unpopped and uncounted).
 func (e *engine) processEvent(it eventq.Item[simEvent]) (stop bool, err error) {
 	now := it.Time
-	if it.Payload.kind == evkCheckpoint {
-		// Checkpoints are bookkeeping-free: no event count, no settle,
-		// no audit — so a checkpointed run stays bit-identical to the
-		// same run without checkpointing. The next checkpoint event is
-		// pushed before the snapshot is taken, so the serialized queue
-		// matches what the uninterrupted run carries forward. A nil
-		// Checkpoint config drops the event silently: a resumed run is
-		// free to continue without checkpointing even though the
-		// restored heap still carries the next checkpoint event.
-		if e.cfg.Checkpoint != nil && (e.undeparted > 0 || e.pendingArrivals() > 0) {
-			e.events.Push(now+e.cfg.Checkpoint.Every, simEvent{kind: evkCheckpoint})
-			e.checkpoints++
-			if err := e.cfg.Checkpoint.Sink(e.snapshot(now)); err != nil {
-				return false, err
-			}
-		}
-		return false, nil
-	}
 	e.eventsProcessed++
 	if e.cfg.Context != nil && e.eventsProcessed&contextPollMask == 0 {
 		if err := e.cfg.Context.Err(); err != nil {
@@ -797,10 +708,10 @@ func (e *engine) redraw(i int) {
 func (e *engine) budgetChanged() { e.budgetLimitUntil = math.Inf(-1) }
 
 // resultFold accumulates the per-job slice of a Result incrementally, in
-// arrival-push order. The streamed engine folds departed jobs out of memory
-// mid-run (Stream.compact); the batch engine folds everything at the end.
-// Both perform the same float additions in the same order, so results are
-// bit-identical across the two paths.
+// arrival-push order. A session folds departed jobs out of memory as it
+// advances (Stream.compact) and the rest when it finishes; the additions
+// run in the same order wherever that cut falls, so results do not depend
+// on how often the session advanced.
 type resultFold struct {
 	arrived    int
 	quality    float64
@@ -814,9 +725,9 @@ type resultFold struct {
 	jobs       []JobOutcome
 }
 
-// foldJob retires one job into the fold — the exact per-job body the batch
-// result loop used to run.
-func (e *engine) foldJob(f *resultFold, js *JobState) {
+// foldJob retires one job into the fold.
+func (e *engine) foldJob(js *JobState) {
+	f := &e.fold
 	f.arrived++
 	maxQ := e.cfg.QualityFor(js.Job.Class).Eval(js.Job.Demand)
 	f.quality += js.Quality
@@ -874,15 +785,11 @@ func (e *engine) foldJob(f *resultFold, js *JobState) {
 }
 
 func (e *engine) result(firstRelease, last float64) Result {
-	f := e.fold
-	if f == nil {
-		f = &resultFold{}
-	}
-	// Fold whatever is still held in memory: every job for a batch run, the
-	// un-retired tail for a streamed one.
+	// Fold the jobs still held in memory.
 	for _, js := range e.all {
-		e.foldJob(f, js)
+		e.foldJob(js)
 	}
+	f := &e.fold
 	r := Result{
 		Policy:           e.policy.Name(),
 		Arrived:          f.arrived,

@@ -116,12 +116,6 @@ type Config struct {
 	// value keeps the legacy instant-requeue behavior. See RetryPolicy.
 	Retry RetryPolicy
 
-	// Checkpoint, when non-nil, snapshots the full engine state every
-	// Every simulated seconds and hands it to Sink — the crash-recovery
-	// primitive behind Resume. Checkpointing never perturbs the run: a
-	// checkpointed run is bit-identical to the same run without it.
-	Checkpoint *CheckpointConfig
-
 	// CollectJobs records a per-job outcome in Result.Jobs (off by default
 	// to keep long runs lean).
 	CollectJobs bool
@@ -215,11 +209,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Retry.Validate(); err != nil {
 		return err
-	}
-	if c.Checkpoint != nil {
-		if err := c.Checkpoint.Validate(); err != nil {
-			return err
-		}
 	}
 	return c.Admission.Validate()
 }

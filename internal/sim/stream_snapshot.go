@@ -1,11 +1,13 @@
-// Streamed-session snapshots. A batch engine checkpoints on a sim-time
-// timer (Config.Checkpoint); a streamed engine is instead snapshotted by
-// its driver between Advance calls — the cluster layer does so at dispatch
-// epoch boundaries — because only the driver knows when the fed prefix of
-// the stream is consistent. The snapshot is the ordinary engine Snapshot
-// plus a StreamState: the running result fold, the stream validator, the
-// session cursor, and the ExtendBudget windows appended since creation.
-// Everything is O(live jobs + classes), never O(jobs fed).
+// Session snapshots, the engine's one checkpoint format. A session is
+// snapshotted by its driver between Advance calls — Stream.Checkpoint at
+// fixed sim-time periods, the cluster layer at dispatch epoch boundaries —
+// because only the driver knows when the fed prefix of the workload is
+// consistent. The snapshot is the engine state (jobs not yet folded, queue,
+// cores, pending events, counters) plus a StreamState: the running result
+// fold, the stream validator, the session cursor, and the ExtendBudget
+// windows appended since creation. Everything is O(live jobs + classes),
+// never O(jobs fed). RestoreStream also reads the legacy files the retired
+// sim-time checkpoint timer wrote, which carry no StreamState.
 package sim
 
 import (
@@ -16,8 +18,8 @@ import (
 	"dessched/internal/job"
 )
 
-// StreamState is the extra serializable state of a streamed engine session
-// beyond the batch Snapshot fields.
+// StreamState is the serializable session state beyond the engine fields
+// of a Snapshot.
 type StreamState struct {
 	AdvancedTo   float64 `json:"advanced_to"`
 	Fed          int     `json:"fed"`
@@ -60,28 +62,29 @@ func (st *Stream) Snapshot() (*Snapshot, error) {
 	e := st.e
 	snap := e.snapshot(st.advancedTo)
 	snap.Fingerprint = st.baseFP
+	f := &e.fold
 	fold := FoldState{
-		Arrived:    e.fold.arrived,
-		Quality:    e.fold.quality,
-		MaxQuality: e.fold.maxQuality,
-		Completed:  e.fold.completed,
-		Deadlined:  e.fold.deadlined,
-		Discarded:  e.fold.discarded,
-		Abandoned:  e.fold.abandoned,
-		Classed:    e.fold.classed,
+		Arrived:    f.arrived,
+		Quality:    f.quality,
+		MaxQuality: f.maxQuality,
+		Completed:  f.completed,
+		Deadlined:  f.deadlined,
+		Discarded:  f.discarded,
+		Abandoned:  f.abandoned,
+		Classed:    f.classed,
 	}
-	if len(e.fold.byClass) > 0 {
-		names := make([]string, 0, len(e.fold.byClass))
-		for name := range e.fold.byClass {
+	if len(f.byClass) > 0 {
+		names := make([]string, 0, len(f.byClass))
+		for name := range f.byClass {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fold.Classes = append(fold.Classes, *e.fold.byClass[name])
+			fold.Classes = append(fold.Classes, *f.byClass[name])
 		}
 	}
-	if len(e.fold.jobs) > 0 {
-		fold.Jobs = append([]JobOutcome(nil), e.fold.jobs...)
+	if len(f.jobs) > 0 {
+		fold.Jobs = append([]JobOutcome(nil), f.jobs...)
 	}
 	snap.Stream = &StreamState{
 		AdvancedTo:   st.advancedTo,
@@ -98,16 +101,16 @@ func (st *Stream) Snapshot() (*Snapshot, error) {
 	return snap, nil
 }
 
-// RestoreStream reopens a streamed session from a snapshot taken by
-// Stream.Snapshot. cfg and p must be the creation-time configuration and
-// policy of the original session (checked via the fingerprint); windows
-// appended through ExtendBudget are reinstalled from the snapshot. The
-// restored session continues bit-identically: feed the arrivals the
-// original would have been fed next.
+// RestoreStream reopens a session from a snapshot taken by Stream.Snapshot.
+// cfg and p must be the creation-time configuration and policy of the
+// original session (checked via the fingerprint); windows appended through
+// ExtendBudget are reinstalled from the snapshot. The restored session
+// continues bit-identically: feed it the arrivals the original would have
+// been fed next, if any, and Finish it. A legacy file written by the
+// retired sim-time checkpoint timer, which carries no StreamState, becomes
+// a session fed its whole workload; its checkpoint timer events are
+// dropped.
 func RestoreStream(cfg Config, p Policy, snap *Snapshot) (*Stream, error) {
-	if cfg.Checkpoint != nil {
-		return nil, cfgerr.New("sim", "checkpoint", "sim: Checkpoint is not supported on streamed runs; snapshot at epoch boundaries via Stream.Snapshot")
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -117,15 +120,17 @@ func RestoreStream(cfg Config, p Policy, snap *Snapshot) (*Stream, error) {
 	if err := snap.validate(); err != nil {
 		return nil, err
 	}
-	ss := snap.Stream
-	if ss == nil {
-		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot was taken from a batch run; resume it with Resume")
-	}
 	if snap.Policy != p.Name() {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot was taken under policy %q, resuming with %q", snap.Policy, p.Name())
 	}
 	if want := fingerprintConfig(&cfg, p.Name()); snap.Fingerprint != want {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot fingerprint %#x does not match configuration %#x — restore needs the exact creation config of the original session", snap.Fingerprint, want)
+	}
+	ss := snap.Stream
+	if ss == nil {
+		// The legacy file lists every job of the workload, departed ones
+		// included, with nothing folded yet and no more arrivals to come.
+		ss = &StreamState{AdvancedTo: snap.Now, Fed: len(snap.Jobs), Started: true, BaseWindows: len(cfg.BudgetFaults), OpenFrac: 1}
 	}
 	if ss.BaseWindows != len(cfg.BudgetFaults) {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot expects %d base budget windows, config has %d", ss.BaseWindows, len(cfg.BudgetFaults))
@@ -140,7 +145,7 @@ func RestoreStream(cfg Config, p Policy, snap *Snapshot) (*Stream, error) {
 		return nil, err
 	}
 	e.moreArrivals = ss.MoreArrivals
-	e.fold = &resultFold{
+	e.fold = resultFold{
 		arrived:    ss.Fold.Arrived,
 		quality:    ss.Fold.Quality,
 		maxQuality: ss.Fold.MaxQuality,

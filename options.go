@@ -152,18 +152,20 @@ func WriteClusterPerfetto(w io.Writer, ct *ClusterTraceFile) error {
 // simSetup is the mutable state SimOptions act on before a run starts.
 // late hooks run after every option has mutated the config, so they see
 // the final fault and budget-window state (the epoch sampler derives
-// effective budget and availability from it).
+// effective budget and availability from it). drive, when set
+// (WithCheckpoint), advances the session before it is finished.
 type simSetup struct {
 	cfg       *sim.Config
 	observers []sim.Observer
 	recorders []sim.Recorder
 	finish    []func(Result)
 	late      []func(*simSetup) error
+	drive     func(*sim.Stream) error
 }
 
-// SimOption customizes one Simulate (or SimulateCluster) call. Options
-// compose left to right; a failing option aborts the run with its error
-// before any simulation work happens.
+// SimOption customizes one Simulate, ResumeSimulation (or SimulateCluster)
+// call. Options compose left to right; a failing option aborts the run
+// with its error before any simulation work happens.
 type SimOption func(*simSetup) error
 
 // WithContext cancels the simulation when ctx fires: the engine polls the
@@ -280,21 +282,23 @@ func WithSeries(rec *SeriesRecorder, epochLen float64) SimOption {
 	}
 }
 
-// apply runs the options over a copy of cfg and merges the collected
-// observers/recorders with whatever the config already carries.
-func applyOptions(cfg sim.Config, opts []SimOption) (sim.Config, []func(Result), error) {
+// simulate runs one single-server session: it applies the options to a
+// copy of cfg, merging the collected observers/recorders with whatever the
+// config already carries, opens the session on the result (Start on a job
+// slice, RestoreStream on a snapshot), drives and finishes it, and hands
+// the result to the options' finish hooks.
+func simulate(cfg sim.Config, opts []SimOption, open func(sim.Config) (*sim.Stream, error)) (Result, error) {
 	s := simSetup{cfg: &cfg}
 	for _, opt := range opts {
 		if err := opt(&s); err != nil {
-			return cfg, nil, err
+			return Result{}, err
 		}
 	}
 	for _, l := range s.late {
 		if err := l(&s); err != nil {
-			return cfg, nil, err
+			return Result{}, err
 		}
 	}
-	s.late = nil
 	if len(s.observers) > 0 {
 		if cfg.Observer != nil {
 			s.observers = append([]sim.Observer{cfg.Observer}, s.observers...)
@@ -315,7 +319,23 @@ func applyOptions(cfg sim.Config, opts []SimOption) (sim.Config, []func(Result),
 			cfg.Recorder = telemetry.MultiRecorder(s.recorders...)
 		}
 	}
-	return cfg, s.finish, nil
+	st, err := open(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	if s.drive != nil {
+		if err := s.drive(st); err != nil {
+			return Result{}, err
+		}
+	}
+	res, err := st.Finish()
+	if err != nil {
+		return Result{}, err
+	}
+	for _, f := range s.finish {
+		f(res)
+	}
+	return res, nil
 }
 
 // SimulateCluster runs a whole fleet over a job slice — SimulateClusterStream
@@ -324,8 +344,9 @@ func applyOptions(cfg sim.Config, opts []SimOption) (sim.Config, []func(Result),
 // partitions the global power budget, and every server's engine advances
 // in parallel. Results are bit-identical for any ClusterConfig.Workers
 // value. Of the simulation options only WithContext applies at
-// fleet scope; per-run hooks (observers, recorders, telemetry, chaos) are
-// rejected with a typed error — use ClusterConfig.Faults for fleet chaos.
+// fleet scope; per-run hooks (observers, recorders, telemetry, chaos,
+// checkpoints) are rejected with a typed error — use ClusterConfig.Faults
+// for fleet chaos and ClusterConfig.StreamCheckpoint for fleet snapshots.
 func SimulateCluster(cfg ClusterConfig, jobs []Job, opts ...SimOption) (ClusterResult, error) {
 	probe := simSetup{cfg: &cfg.Server}
 	faults0, bfaults0 := len(cfg.Server.Faults), len(cfg.Server.BudgetFaults)
@@ -337,7 +358,7 @@ func SimulateCluster(cfg ClusterConfig, jobs []Job, opts ...SimOption) (ClusterR
 		if len(probe.observers) != len(before.observers) ||
 			len(probe.recorders) != len(before.recorders) ||
 			len(probe.finish) != len(before.finish) ||
-			len(probe.late) != len(before.late) ||
+			len(probe.late) != len(before.late) || probe.drive != nil ||
 			len(cfg.Server.Faults) != faults0 || len(cfg.Server.BudgetFaults) != bfaults0 {
 			return ClusterResult{}, cfgerr.New("facade", "options",
 				"dessched: only WithContext applies to SimulateCluster; per-run hooks cannot span the fleet's concurrent engines — use ClusterConfig.Instrument for fleet observability")

@@ -25,12 +25,9 @@ type (
 	JobPhase = sim.Phase
 
 	// SimSnapshot is a resumable image of a running simulation, taken by
-	// ServerConfig.Checkpoint and consumed by ResumeSimulation. The
-	// serialized form is the versioned dessched-checkpoint/v1 JSON.
+	// WithCheckpoint and consumed by ResumeSimulation. The serialized form
+	// is the versioned dessched-checkpoint/v1 JSON.
 	SimSnapshot = sim.Snapshot
-	// SimCheckpointConfig asks the engine to snapshot itself every Every
-	// simulated seconds (ServerConfig.Checkpoint).
-	SimCheckpointConfig = sim.CheckpointConfig
 
 	// HedgeConfig duplicates near-deadline jobs to a second server with
 	// first-completion-wins resolution (ClusterConfig.Hedge).
@@ -86,11 +83,26 @@ func EncodeSimSnapshot(s *SimSnapshot) ([]byte, error) { return sim.EncodeSnapsh
 // input yields a typed *ConfigError, never a panic.
 func DecodeSimSnapshot(b []byte) (*SimSnapshot, error) { return sim.DecodeSnapshot(b) }
 
+// WithCheckpoint snapshots the run every `every` simulated seconds,
+// counted from the first release (from the snapshot's instant on
+// ResumeSimulation), for as long as jobs remain, and hands each snapshot to
+// sink. A sink error aborts the run with it; a non-positive or non-finite
+// period or a nil sink is a typed error. Snapshots never perturb the run:
+// the result is bit-identical to the same call without the option.
+func WithCheckpoint(every float64, sink func(*SimSnapshot) error) SimOption {
+	return func(s *simSetup) error {
+		s.drive = func(st *sim.Stream) error { return st.Checkpoint(every, sink) }
+		return nil
+	}
+}
+
 // ResumeSimulation continues a checkpointed run under the same
-// configuration and policy, reproducing the uninterrupted run bit for bit.
+// configuration and policy, reproducing the uninterrupted run bit for bit;
+// options apply to the rest of the run as they do in Simulate. Snapshots
+// written before sessions were the engine's only driver resume too.
 // Mismatched physics, policy, or workload are rejected with a typed error.
-func ResumeSimulation(cfg ServerConfig, p Policy, snap *SimSnapshot) (Result, error) {
-	return sim.Resume(cfg, p, snap)
+func ResumeSimulation(cfg ServerConfig, p Policy, snap *SimSnapshot, opts ...SimOption) (Result, error) {
+	return simulate(cfg, opts, func(run ServerConfig) (*sim.Stream, error) { return sim.RestoreStream(run, p, snap) })
 }
 
 // AttachInvariants wires a runtime invariant checker into a simulation
