@@ -43,8 +43,9 @@ type BenchReport struct {
 const spansRatioLimit = 1.05
 
 // minCompareWall is the shortest best-repeat wall time (seconds) for
-// which the compare gate trusts ns/event: below it, a single scheduler
-// preemption swings the figure by multiples of any real regression.
+// which the compare gate trusts a wall-time rate: below it, a single
+// scheduler preemption swings the figure by multiples of any real
+// regression.
 // Full-horizon scenarios clear it; -quick single-server runs (~1 ms)
 // don't, leaving the quick smoke to gate the long cluster scenarios,
 // peak RSS, and the paired spans_overhead_ratio.
@@ -387,7 +388,7 @@ func cmdBench(args []string) error {
 	compare := fs.String("compare", "", "diff against this previous BENCH_sim.json; exit 1 on regression")
 	repeats := fs.Int("repeats", 3, "measured repeats per scenario (fastest kept)")
 	duration := fs.Float64("duration", 5, "simulated seconds per scenario")
-	threshold := fs.Float64("threshold", 0.30, "relative ns/event (or allocs/event) slowdown that counts as a regression")
+	threshold := fs.Float64("threshold", 0.30, "relative ns/job (or allocs/job, or peak RSS) growth that counts as a regression")
 	quick := fs.Bool("quick", false, "smoke fidelity: 1 s horizon, 1 repeat")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -522,10 +523,14 @@ func measureSpansOverhead(cases []benchCase, repeats int) (float64, error) {
 
 // compareBench diffs the fresh report against a stored baseline. Scenarios
 // present only on one side are reported but not fatal (the scenario set may
-// evolve); a matched scenario regressing past the threshold is. Two
-// absolute gates ride along: spans_overhead_ratio must stay under
-// spansRatioLimit, and RSS-limited scenarios already failed in
-// measureScenario if they breached their byte budget.
+// evolve); a matched scenario regressing past the threshold is. Wall time
+// and allocations are judged per job, not per event: for a fixed scenario
+// and horizon the events per job are deterministic, so the two agree while
+// the engine's event count stands still, and only the per-job figure stays
+// a fixed unit of work when a change removes events on purpose. ns/event
+// is still printed. Two absolute gates ride along: spans_overhead_ratio
+// must stay under spansRatioLimit, and RSS-limited scenarios already
+// failed in measureScenario if they breached their byte budget.
 func compareBench(fresh BenchReport, baselinePath string, threshold float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -551,24 +556,25 @@ func compareBench(fresh BenchReport, baselinePath string, threshold float64) err
 		}
 		delete(byName, sc.Name)
 		// A run that finished in under minCompareWall can't support a
-		// percent-level ns/event claim — scheduler hiccups alone swing it
+		// percent-level ns/job claim — scheduler hiccups alone swing it
 		// by multiples (quick-mode cluster-m8 measures ~1 ms). Leave such
 		// scenarios to the full baseline run.
-		dt, nsCol := 0.0, "ns/event n/a (run too short)"
-		if sc.WallSeconds >= minCompareWall && old.WallSeconds >= minCompareWall {
-			dt = rel(sc.NsPerEvent, old.NsPerEvent)
-			nsCol = fmt.Sprintf("ns/event %+.1f%%", dt*100)
+		dt, nsCol := 0.0, "ns/job n/a (run too short)"
+		if sc.WallSeconds >= minCompareWall && old.WallSeconds >= minCompareWall && sc.Jobs > 0 && old.Jobs > 0 {
+			dt = rel(sc.WallSeconds*1e9/float64(sc.Jobs), old.WallSeconds*1e9/float64(old.Jobs))
+			nsCol = fmt.Sprintf("ns/job %+.1f%% (ns/event %+.1f%%)", dt*100, rel(sc.NsPerEvent, old.NsPerEvent)*100)
 		}
 		dm := rel(float64(sc.PeakRSSBytes), float64(old.PeakRSSBytes))
-		// Allocs/event is deterministic for a given horizon, but fixed
+		// Allocations are deterministic for a given horizon, but fixed
 		// per-run allocations (buffer growth to steady size) amortize over
-		// the event count, so a -quick run is not comparable to a full
-		// baseline. Identical deterministic event counts mean identical
-		// horizons; only then is the allocs column a real signal.
-		da, allocsCol := 0.0, "allocs/event n/a (horizon differs)"
-		if sc.Events == old.Events {
-			da = rel(sc.AllocsPerEvent, old.AllocsPerEvent)
-			allocsCol = fmt.Sprintf("allocs/event %+.1f%%", da*100)
+		// the run, so a -quick run is not comparable to a full baseline.
+		// Only runs of the same horizon over the same jobs make the allocs
+		// column a real signal.
+		da, allocsCol := 0.0, "allocs/job n/a (horizon differs)"
+		if sc.SimSeconds == old.SimSeconds && sc.Jobs == old.Jobs && sc.Jobs > 0 {
+			perJob := func(b BenchScenario) float64 { return b.AllocsPerEvent * float64(b.Events) / float64(b.Jobs) }
+			da = rel(perJob(sc), perJob(old))
+			allocsCol = fmt.Sprintf("allocs/job %+.1f%%", da*100)
 		}
 		status := "ok"
 		if dt > threshold || da > threshold || dm > threshold {

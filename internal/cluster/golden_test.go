@@ -244,23 +244,26 @@ var clusterGoldenArtifacts = map[string]goldenArtifacts{
 // the single epoch loop changes an engine's lifetime: a server that runs
 // dry before the fleet's last arrival epoch keeps its quantum ticking until
 // that epoch, where the two-path code's batch Run stopped it at its own
-// final departure. Only the sparse fleet moved.
+// final departure. Only the sparse fleet moved. Events and PerServer were
+// re-pinned again when each core's segment ends became one timer, so a
+// replaced plan's segment ends stopped popping and counting; invocations,
+// spans, metrics and flight dumps did not move.
 var clusterGoldenEvents = map[string]goldenEvents{
-	"round-robin-scarce":      {Events: 3650, Invocation: 814, PerServer: 0x5ff0f864a11d4e55, Spans: 0x9bba989fa5aa06a5, Metrics: 0x77592c80156f2364, Flight: 0x38bd76dc43d9c551},
-	"least-loaded-scarce":     {Events: 3471, Invocation: 814, PerServer: 0xda6292be163e3b32, Spans: 0x38a79c1d20a567df, Metrics: 0xad952f7d14cf5760, Flight: 0x38bd76dc43d9c551},
-	"hash-scarce":             {Events: 3116, Invocation: 690, PerServer: 0x8f4d865e4aec7bd9, Spans: 0xa931d26528878026, Metrics: 0x85877320e256f069, Flight: 0x1d7ed668964faaa3},
-	"round-robin-ample":       {Events: 3390, Invocation: 748, PerServer: 0x6b43fecb87d323bb, Spans: 0xb81dcb3cbd96b837, Metrics: 0xb338f3f4f18523c8, Flight: 0x692cbd95ea912e38},
-	"hash-no-global":          {Events: 2149, Invocation: 481, PerServer: 0x8d0e109e5299b1a4, Spans: 0x435a13624189d891, Metrics: 0x18f926918e8ba3b6, Flight: 0x17a1f6f911895cf0},
-	"by-class-prio-admission": {Events: 1088, Invocation: 161, PerServer: 0x30ec10b4904aace, Spans: 0x6a6a9245402eda6d, Metrics: 0x3d8be6fa4a6f5b6a, Flight: 0x7f87a5edfdd3bca3},
-	"outage-reroute":          {Events: 2668, Invocation: 228, PerServer: 0xba41ce5ffed09728, Spans: 0x652bb950987f8433, Metrics: 0x8417d92371e97895, Flight: 0x4465fdbe9619e257},
-	"retry":                   {Events: 2427, Invocation: 268, PerServer: 0xdcc9402216a60cf0, Spans: 0xdba9ca19fa047821, Metrics: 0x9fa8ed9a645e010a, Flight: 0xa52fc43aa2fb703a},
-	"hedge-limit":             {Events: 2432, Invocation: 347, PerServer: 0xdbe900a1a8f5648a, Spans: 0x4d48c935283add3a, Metrics: 0xe2e7bd9dabd5ad5b, Flight: 0x1644cd880b59fac0},
-	"hedge-classes":           {Events: 1658, Invocation: 225, PerServer: 0x6ba7eff95465617c, Spans: 0x753ef1c58e906a0, Metrics: 0x384839883281c8a0, Flight: 0xe6837772063c8b4},
-	"chaos-retry-hedge":       {Events: 5241, Invocation: 986, PerServer: 0x59fdead0c05f2c0e, Spans: 0x1b355d0d8d509e4f, Metrics: 0xb5bf8936deb2b522, Flight: 0x6cba0d5524149f67},
-	"collect-jobs":            {Events: 1728, Invocation: 230, PerServer: 0xb18185f89ba0e5b3, Spans: 0xa7316df2f90fbf1d, Metrics: 0x221874e57f0a522f, Flight: 0xb6a9db3d72d8cbcd},
-	"sampled-tracer":          {Events: 2325, Invocation: 356, PerServer: 0x83031a522431c432, Spans: 0x64dbcc835b411cd0, Metrics: 0xd3ee561c9d3899f9, Flight: 0x896ec62b22daa8b1},
-	"one-server":              {Events: 705, Invocation: 58, PerServer: 0x755d7e903ec53220, Spans: 0xd0ced98db4130407, Metrics: 0x9e3261dec9a142d8, Flight: 0x68cd9a86ba6ab6e0},
-	"sparse":                  {Events: 114, Invocation: 75, PerServer: 0x25cdca913e79334a, Spans: 0xddfdbee3386e573c, Metrics: 0xd30b0151cd69b284, Flight: 0xb0587d8e8efe5abd}, // was 60 events, 45 invocations
+	"round-robin-scarce":      {Events: 1042, Invocation: 814, PerServer: 0xcb7e9f71b804e5a9, Spans: 0x9bba989fa5aa06a5, Metrics: 0x77592c80156f2364, Flight: 0x38bd76dc43d9c551},
+	"least-loaded-scarce":     {Events: 1054, Invocation: 814, PerServer: 0x82af243aae044ad9, Spans: 0x38a79c1d20a567df, Metrics: 0xad952f7d14cf5760, Flight: 0x38bd76dc43d9c551},
+	"hash-scarce":             {Events: 1127, Invocation: 690, PerServer: 0xb261b825538b7f76, Spans: 0xa931d26528878026, Metrics: 0x85877320e256f069, Flight: 0x1d7ed668964faaa3},
+	"round-robin-ample":       {Events: 975, Invocation: 748, PerServer: 0xe76d5e26db9f5e2, Spans: 0xb81dcb3cbd96b837, Metrics: 0xb338f3f4f18523c8, Flight: 0x692cbd95ea912e38},
+	"hash-no-global":          {Events: 817, Invocation: 481, PerServer: 0xd0a33bb2f0a671c1, Spans: 0x435a13624189d891, Metrics: 0x18f926918e8ba3b6, Flight: 0x17a1f6f911895cf0},
+	"by-class-prio-admission": {Events: 509, Invocation: 161, PerServer: 0x518e151dbc77bb83, Spans: 0x6a6a9245402eda6d, Metrics: 0x3d8be6fa4a6f5b6a, Flight: 0x7f87a5edfdd3bca3},
+	"outage-reroute":          {Events: 1725, Invocation: 228, PerServer: 0xf55066d89430798, Spans: 0x652bb950987f8433, Metrics: 0x8417d92371e97895, Flight: 0x4465fdbe9619e257},
+	"retry":                   {Events: 1269, Invocation: 268, PerServer: 0x94c3e0cf6e589971, Spans: 0xdba9ca19fa047821, Metrics: 0x9fa8ed9a645e010a, Flight: 0xa52fc43aa2fb703a},
+	"hedge-limit":             {Events: 1249, Invocation: 347, PerServer: 0x2ef8aaf5b5513b53, Spans: 0x4d48c935283add3a, Metrics: 0xe2e7bd9dabd5ad5b, Flight: 0x1644cd880b59fac0},
+	"hedge-classes":           {Events: 715, Invocation: 225, PerServer: 0xc87575943d95e347, Spans: 0x753ef1c58e906a0, Metrics: 0x384839883281c8a0, Flight: 0xe6837772063c8b4},
+	"chaos-retry-hedge":       {Events: 1798, Invocation: 986, PerServer: 0x379f488fda79d4a9, Spans: 0x1b355d0d8d509e4f, Metrics: 0xb5bf8936deb2b522, Flight: 0x6cba0d5524149f67},
+	"collect-jobs":            {Events: 905, Invocation: 230, PerServer: 0xfba830053151b16b, Spans: 0xa7316df2f90fbf1d, Metrics: 0x221874e57f0a522f, Flight: 0xb6a9db3d72d8cbcd},
+	"sampled-tracer":          {Events: 1125, Invocation: 356, PerServer: 0xb08a81080ff944ca, Spans: 0x64dbcc835b411cd0, Metrics: 0xd3ee561c9d3899f9, Flight: 0x896ec62b22daa8b1},
+	"one-server":              {Events: 493, Invocation: 58, PerServer: 0xc00171f049cb6cb9, Spans: 0xd0ced98db4130407, Metrics: 0x9e3261dec9a142d8, Flight: 0x68cd9a86ba6ab6e0},
+	"sparse":                  {Events: 102, Invocation: 75, PerServer: 0x4e822d4626a9b602, Spans: 0xddfdbee3386e573c, Metrics: 0xd30b0151cd69b284, Flight: 0xb0587d8e8efe5abd}, // 60 events, 45 invocations before the single epoch loop
 	"empty":                   {Events: 0, Invocation: 0, PerServer: 0xa09d945a1cd8d6e5, Spans: 0x3dbfb04ff34ef744, Metrics: 0xa494b66d9e218fdc, Flight: 0xac75c86f44b322cc},
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Steady-state churn at a realistic queue depth — the per-event cost the
-// simulator pays for every scheduled segment end.
+// simulator pays for every deadline, quantum tick and fault edge it queues.
 func BenchmarkPushPop(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue[int]

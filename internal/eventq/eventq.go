@@ -5,12 +5,15 @@
 // The queue is generic over its payload type and stores items by value in a
 // single backing slice, so steady-state Push/Pop perform no heap allocations
 // (the slice grows amortized, like append) and the sift loops compare plain
-// struct fields instead of going through an interface. This matters: the
-// simulator pushes one event per plan segment per policy invocation, so the
-// queue is on the per-event hot path (see docs/PERFORMANCE.md). Reserve and
-// PushSeq let an owner keep events outside the heap until they are due
-// without changing the pop order, so the heap stays as small as the set of
-// events in flight.
+// struct fields instead of going through an interface. This matters: every
+// simulator event passes through the queue's order, so it is on the
+// per-event hot path (see docs/PERFORMANCE.md). Reserve and PushSeq let an
+// owner keep events outside the heap until they are due without changing
+// the pop order, so the heap stays as small as the set of events in flight.
+// Timers is the same order over one re-keyable event per slot: the
+// simulator keeps each core's next plan-segment end there, so installing a
+// new plan replaces the old plan's pending segment end instead of leaving
+// it to pop.
 package eventq
 
 // Item is a queued event: an opaque payload scheduled at an absolute time.

@@ -65,7 +65,7 @@ func TestAuditMemoMatchesDirectComputation(t *testing.T) {
 		{Core: 2, Start: 0.2, End: 0.9, SpeedFactor: 0.5},
 	}
 	cfg.BudgetFaults = []BudgetFault{{Start: 0.4, End: 0.8, Fraction: 0.5}, {Start: 0.7, End: 1.2, Fraction: 0.8}}
-	st, err := Start(cfg, benchJobs(300), &gappyPolicy{})
+	st, err := Start(cfg, benchJobs(400), &gappyPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

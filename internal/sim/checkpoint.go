@@ -13,11 +13,11 @@
 //     audit, so a checkpointed run is indistinguishable from an unchecked
 //     one.
 //   - Every pending event is serialized with its insertion sequence number:
-//     the heap's items in heap-array order, then the arrival and deadline
-//     events of the jobs not yet arrived, which the engine keeps outside
-//     the heap. Restoring splits them the same way, so the engine pops in
-//     the exact same order, including FIFO tie-breaks among equal-time
-//     events.
+//     the heap's items in heap-array order, then the segment ends each
+//     core's timer stands for and the arrival and deadline events of the
+//     jobs not yet arrived, which the engine keeps outside the heap.
+//     Restoring splits them the same way, so the engine pops in the exact
+//     same order, including FIFO tie-breaks among equal-time events.
 //
 // Snapshots carry a fingerprint of the configuration and policy (FNV-1a
 // over every scalar, fault window, queue order, class priority,
@@ -28,6 +28,7 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -123,9 +124,9 @@ type eventSnap struct {
 	T       float64 `json:"t"`
 	Seq     uint64  `json:"seq"`
 	Kind    uint8   `json:"kind"`
-	Version int     `json:"version,omitempty"`
-	Job     int     `json:"job"`  // index into Snapshot.Jobs, -1 when absent
-	Core    int     `json:"core"` // core index, -1 when absent
+	Version int     `json:"version,omitempty"` // a segment end's plan version (coreSnap.PlanVersion when live)
+	Job     int     `json:"job"`               // index into Snapshot.Jobs, -1 when absent
+	Core    int     `json:"core"`              // core index, -1 when absent
 }
 
 type counterSnap struct {
@@ -214,7 +215,7 @@ func (e *engine) snapshot(now float64) *Snapshot {
 	snap.EventSeq = seq
 	snap.Events = make([]eventSnap, 0, len(items)+2*len(pending))
 	for _, it := range items {
-		es := eventSnap{T: it.Time, Seq: it.Seq(), Kind: uint8(it.Payload.kind), Version: it.Payload.version, Job: -1, Core: -1}
+		es := eventSnap{T: it.Time, Seq: it.Seq(), Kind: uint8(it.Payload.kind), Job: -1, Core: -1}
 		if it.Payload.js != nil {
 			es.Job = jobIdx[it.Payload.js]
 		}
@@ -222,6 +223,16 @@ func (e *engine) snapshot(now float64) *Snapshot {
 			es.Core = it.Payload.core.Index
 		}
 		snap.Events = append(snap.Events, es)
+	}
+	// A core's timer holds only its next segment end (see armPlan). The
+	// snapshot lists the end of every segment from that one on, under its
+	// reserved number and tagged with the plan version, as the events they
+	// stand for.
+	for _, c := range e.cores {
+		for k := c.segNext; k < len(c.plan); k++ {
+			snap.Events = append(snap.Events, eventSnap{T: c.plan[k].End, Seq: c.segSeq + uint64(k),
+				Kind: uint8(evkSegment), Version: c.planVersion, Job: -1, Core: c.Index})
+		}
 	}
 	// A job that has not arrived keeps its arrival and deadline events out
 	// of the heap (see engine.arrivals). The snapshot lists both as the
@@ -521,10 +532,11 @@ func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 
 // restoreEvents rebuilds the engine's event set from a snapshot's event
 // list. Arrival events, and the deadline events of the jobs they belong
-// to, go back to the arrival list; legacy checkpoint timer events are
-// dropped; everything else goes into the heap. Every pending arrival must
-// come with its deadline event under the next sequence number, as the
-// engine always writes them.
+// to, go back to the arrival list; segment events re-arm their cores'
+// timers (restoreTimer); legacy checkpoint timer events are dropped;
+// everything else goes into the heap. Every pending arrival must come with
+// its deadline event under the next sequence number, as the engine always
+// writes them.
 func (e *engine) restoreEvents(snap *Snapshot) error {
 	bad := func(reason string, args ...any) error {
 		return cfgerr.New("sim", "checkpoint", "sim: invalid snapshot: "+reason, args...)
@@ -548,11 +560,21 @@ func (e *engine) restoreEvents(snap *Snapshot) error {
 	}
 	slices.SortFunc(e.arrivals, arrivalOrder)
 
-	deadline := make(map[int]bool, len(arrival)) // pending jobs whose deadline was seen
+	deadline := make(map[int]bool, len(arrival))  // pending jobs whose deadline was seen
+	segments := make([][]eventSnap, len(e.cores)) // live segment events per core
 	items := make([]eventq.Item[simEvent], 0, len(snap.Events))
 	for _, es := range snap.Events {
 		k := evKind(es.Kind)
 		if k == evkArrival || es.Kind == legacyCheckpointKind {
+			continue
+		}
+		if k == evkSegment {
+			// An event of an older plan version is a replaced plan's
+			// segment end, which the engine that wrote legacy files kept
+			// in its heap until it popped and did nothing.
+			if es.Version == snap.Cores[es.Core].PlanVersion {
+				segments[es.Core] = append(segments[es.Core], es)
+			}
 			continue
 		}
 		if seq, pending := arrival[es.Job]; pending && k == evkDeadline {
@@ -562,7 +584,7 @@ func (e *engine) restoreEvents(snap *Snapshot) error {
 			deadline[es.Job] = true
 			continue
 		}
-		ev := simEvent{kind: k, version: es.Version}
+		ev := simEvent{kind: k}
 		if es.Job >= 0 {
 			ev.js = e.all[es.Job]
 		}
@@ -574,7 +596,39 @@ func (e *engine) restoreEvents(snap *Snapshot) error {
 	if len(deadline) != len(arrival) {
 		return bad("%d pending arrivals without a deadline event", len(arrival)-len(deadline))
 	}
+	for ci, evs := range segments {
+		if err := e.restoreTimer(e.cores[ci], evs); err != nil {
+			return err
+		}
+	}
 	e.events.Restore(items, snap.EventSeq)
+	return nil
+}
+
+// restoreTimer re-arms a restored core's segment timer from the core's
+// live segment events: they must be the ends of its plan's last segments,
+// under consecutive sequence numbers — what the engine writes.
+func (e *engine) restoreTimer(c *CoreState, evs []eventSnap) error {
+	bad := func(reason string, args ...any) error {
+		return cfgerr.New("sim", "checkpoint", "sim: invalid snapshot: core %d: "+reason, append([]any{c.Index}, args...)...)
+	}
+	if len(evs) > len(c.plan) {
+		return bad("%d segment events, but %d plan segments", len(evs), len(c.plan))
+	}
+	slices.SortFunc(evs, func(a, b eventSnap) int { return cmp.Compare(a.Seq, b.Seq) })
+	c.segNext = len(c.plan) - len(evs)
+	for j, es := range evs {
+		if es.Seq != evs[0].Seq+uint64(j) {
+			return bad("segment event sequence numbers %d and %d are not consecutive", evs[j-1].Seq, es.Seq)
+		}
+		if end := c.plan[c.segNext+j].End; es.T != end {
+			return bad("segment event at %g, but plan segment %d ends at %g", es.T, c.segNext+j, end)
+		}
+	}
+	if len(evs) > 0 {
+		c.segSeq = evs[0].Seq - uint64(c.segNext)
+	}
+	e.armSegment(c)
 	return nil
 }
 

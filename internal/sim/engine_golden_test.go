@@ -205,24 +205,29 @@ func engineGoldens() []engineGolden {
 	}
 }
 
-// goldenDigests pins the engine's observable output per scenario, as the
-// engine produced it before the heap kept only in-flight events and the
-// audit was memoized. Both are pure performance changes: any difference
-// here is a change in simulated behaviour. The event counts are recorded
-// alongside because they are the easiest part of a mismatch to read.
+// goldenDigests pins the engine's observable output per scenario. The
+// values were recorded before the heap kept only in-flight events and the
+// audit was memoized, and re-pinned once when segment ends became one
+// timer per core: a replaced plan's segment ends stopped popping, so Events
+// fell and nodvfs-budget-fault's BudgetViolations fell to its count over
+// the live events (781 → 516); every other field stayed bit-identical, and
+// TestLivePopOrderGolden pins the order of the events that remain. Any
+// difference here is a change in simulated behaviour. The event counts are
+// recorded alongside because they are the easiest part of a mismatch to
+// read.
 var goldenDigests = map[string]uint64{
-	"paper-light":            0x9734151cad50145,  // events 24619
-	"paper-heavy":            0xcdbdc971855672ec, // events 9945
-	"chaotic":                0xf16822fd25f2eaee, // events 4042
-	"retry-outage":           0xb87925a2f7287c14, // events 2881
-	"sdvfs-discrete":         0x775fed98b6a22587, // events 2105
-	"nodvfs-idle-burn":       0xfb20c597d59bfd05, // events 1890
-	"nodvfs-budget-fault":    0x1fb12a45ee78b3cd, // events 1926
-	"fcfs-wf":                0x504b99486f748bac, // events 4908
-	"immediate-triggers":     0x9ccd136bcd9ff1b9, // events 4417
-	"classed-prio-admission": 0x83f449efd5454cde, // events 1287
-	"grid-ties":              0xafa3303c3f803921, // events 1681
-	"unsorted-ties":          0x9aa7ea30637d5e74, // events 3438
+	"paper-light":            0x5e74e79f34f552be, // events 2459
+	"paper-heavy":            0xae32d6deea10ba38, // events 4761
+	"chaotic":                0x15299d912b60a9c1, // events 1128
+	"retry-outage":           0x404a9d22e544517,  // events 1203
+	"sdvfs-discrete":         0xca22baa906a305c6, // events 1455
+	"nodvfs-idle-burn":       0xd144eef37372faa0, // events 1321
+	"nodvfs-budget-fault":    0xa44db62f7ab514b8, // events 1323
+	"fcfs-wf":                0x3b65bb00608167b7, // events 995
+	"immediate-triggers":     0x6a83472f637e21b1, // events 959
+	"classed-prio-admission": 0x44c9faeff6d83d07, // events 1093
+	"grid-ties":              0x67913abf4872d49,  // events 1191
+	"unsorted-ties":          0x59b158ddf120462b, // events 955
 }
 
 func TestEngineGoldenDigests(t *testing.T) {
@@ -245,10 +250,13 @@ func TestEngineGoldenDigests(t *testing.T) {
 	}
 }
 
-// Pinned results of the two checkpointed scenarios below, uninterrupted.
+// Pinned results of the two checkpointed scenarios below, uninterrupted,
+// and their event counts.
 const (
-	batchCheckpointDigest = 0x7dbe2b9cf3b75531
-	streamEpochsDigest    = 0x18d0efca17f08f55
+	batchCheckpointDigest uint64 = 0x135fed3a737a74b7
+	batchCheckpointEvents        = 360
+	streamEpochsDigest    uint64 = 0x89bf3a36c7bdbe7c
+	streamEpochsEvents           = 380
 )
 
 func batchCheckpointConfig() sim.Config {
@@ -337,15 +345,16 @@ func TestCheckpointedScenariosGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := digestOf(res); got != batchCheckpointDigest {
-		t.Errorf("batch digest %#x, want %#x", got, batchCheckpointDigest)
+	if got := digestOf(res); got != batchCheckpointDigest || res.Events != batchCheckpointEvents {
+		t.Errorf("batch digest %#x with %d events, want %#x with %d", got, res.Events, batchCheckpointDigest, batchCheckpointEvents)
 	}
 	st, err := sim.NewStream(streamGoldenConfig(), core.New(core.CDVFS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := digestOf(streamEpochs(t, st, streamGoldenSource(t), 1, false, 0, nil)); got != streamEpochsDigest {
-		t.Errorf("stream digest %#x, want %#x", got, streamEpochsDigest)
+	res = streamEpochs(t, st, streamGoldenSource(t), 1, false, 0, nil)
+	if got := digestOf(res); got != streamEpochsDigest || res.Events != streamEpochsEvents {
+		t.Errorf("stream digest %#x with %d events, want %#x with %d", got, res.Events, streamEpochsDigest, streamEpochsEvents)
 	}
 }
 
@@ -363,12 +372,28 @@ func readSnapshot(t *testing.T, name string) *sim.Snapshot {
 }
 
 // The fixtures are snapshots written by the engine that pushed every
-// arrival and deadline into the heap up front: their event lists hold the
-// arrival and deadline events of every job not yet arrived. The batch one
-// is a legacy file of the retired sim-time checkpoint timer: no session
-// state, every job of the workload, and the timer's next event. Resuming
-// them must still reproduce the uninterrupted run bit for bit.
+// arrival and deadline into the heap up front, and every segment end of
+// every installed plan: their event lists hold the arrival and deadline
+// events of every job not yet arrived, and segment ends of replaced plans.
+// The batch one is a legacy file of the retired sim-time checkpoint timer:
+// no session state, every job of the workload, and the timer's next event.
+// Resuming them must still reproduce the uninterrupted run bit for bit in
+// every Result field but Events: that engine's counter includes the
+// replaced plans' segment ends it popped before the snapshot, so the
+// resumed Events are pinned on their own.
 func TestResumeSnapshotsWithPendingArrivals(t *testing.T) {
+	// resumed checks a resumed result's Events, then the rest of it
+	// against the uninterrupted run.
+	resumed := func(t *testing.T, res sim.Result, events, uninterruptedEvents int, want uint64) {
+		t.Helper()
+		if res.Events != events {
+			t.Errorf("resumed run counts %d events, want %d", res.Events, events)
+		}
+		res.Events = uninterruptedEvents
+		if got := digestOf(res); got != want {
+			t.Errorf("resumed digest %#x, want %#x", got, want)
+		}
+	}
 	t.Run("batch", func(t *testing.T) {
 		st, err := sim.RestoreStream(batchCheckpointConfig(), core.New(core.CDVFS), readSnapshot(t, "checkpoint-v1-batch.json"))
 		if err != nil {
@@ -378,9 +403,7 @@ func TestResumeSnapshotsWithPendingArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := digestOf(res); got != batchCheckpointDigest {
-			t.Errorf("resumed digest %#x, want %#x", got, batchCheckpointDigest)
-		}
+		resumed(t, res, 451, batchCheckpointEvents, batchCheckpointDigest)
 	})
 	t.Run("stream", func(t *testing.T) {
 		snap := readSnapshot(t, "checkpoint-v1-stream.json")
@@ -391,9 +414,7 @@ func TestResumeSnapshotsWithPendingArrivals(t *testing.T) {
 		src := streamGoldenSource(t)
 		src.Next(snap.Stream.AdvancedTo + streamGoldenEpoch) // the jobs fed before the snapshot
 		k := int(math.Round(snap.Stream.AdvancedTo/streamGoldenEpoch)) + 1
-		if got := digestOf(streamEpochs(t, st, src, k, true, 0, nil)); got != streamEpochsDigest {
-			t.Errorf("restored digest %#x, want %#x", got, streamEpochsDigest)
-		}
+		resumed(t, streamEpochs(t, st, src, k, true, 0, nil), 404, streamEpochsEvents, streamEpochsDigest)
 	})
 }
 
@@ -442,6 +463,49 @@ func TestResumeRejectsInconsistentPendingArrivals(t *testing.T) {
 	}
 }
 
+// segmentKind is the segment-end event kind in the snapshot format.
+const segmentKind = 2
+
+// A core's live segment events (those tagged with its plan version) must be
+// the ends of its plan's last segments under consecutive sequence numbers;
+// a snapshot that breaks this is refused with a typed error.
+func TestResumeRejectsInconsistentSegmentEvents(t *testing.T) {
+	// live returns the indices of a core's live segment events, in
+	// sequence order.
+	live := func(s *sim.Snapshot, c int) []int {
+		var idx []int
+		for i, ev := range s.Events {
+			if ev.Kind == segmentKind && ev.Core == c && ev.Version == s.Cores[c].PlanVersion {
+				idx = append(idx, i)
+			}
+		}
+		sort.Slice(idx, func(a, b int) bool { return s.Events[idx[a]].Seq < s.Events[idx[b]].Seq })
+		if len(idx) != len(s.Cores[c].Plan) {
+			t.Fatalf("fixture core %d: %d live segment events for %d segments", c, len(idx), len(s.Cores[c].Plan))
+		}
+		return idx
+	}
+	for name, corrupt := range map[string]func(*sim.Snapshot){
+		"more events than segments": func(s *sim.Snapshot) {
+			last := s.Events[live(s, 0)[1]]
+			last.Seq++
+			s.Events = append(s.Events, last)
+		},
+		"event off its segment's end": func(s *sim.Snapshot) { s.Events[live(s, 0)[0]].T += 0.01 },
+		"sequence numbers with a gap": func(s *sim.Snapshot) { s.Events[live(s, 0)[1]].Seq += 5 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			snap := readSnapshot(t, "checkpoint-v1-stream.json")
+			corrupt(snap)
+			_, err := sim.RestoreStream(streamGoldenConfig(), core.New(core.CDVFS), snap)
+			var ce *cfgerr.Error
+			if !errors.As(err, &ce) {
+				t.Fatalf("resume error %v, want a *cfgerr.Error", err)
+			}
+		})
+	}
+}
+
 // withoutEvents encodes everything in a snapshot but its event list.
 func withoutEvents(s *sim.Snapshot) []byte {
 	c := *s
@@ -465,10 +529,15 @@ func sameEventSet(a, b *sim.Snapshot) bool {
 	return slices.Equal(set(a), set(b))
 }
 
-// A session snapshot lists the same state as before the split: the same
-// jobs, cores, counters and sequence counter, and the same set of events —
-// the pending arrivals and their deadlines included — only the heap-array
-// order of the event list differs.
+// A session snapshot lists the same state as the fixture, written before
+// the heap held only in-flight events and before segment ends became one
+// timer per core: the same jobs, cores, counters and sequence counter, and
+// the same set of events — the pending arrivals and their deadlines, and
+// the live segment ends under their reserved numbers — only the heap-array
+// order of the event list differs. Two differences are expected: the
+// fixture's 3 segment ends of replaced plans (tagged with an older plan
+// version) are gone, and events_processed no longer counts the 24 such
+// events popped before the snapshot.
 func TestSnapshotFormatUnchanged(t *testing.T) {
 	t.Run("stream", func(t *testing.T) {
 		st, err := sim.NewStream(streamGoldenConfig(), core.New(core.CDVFS))
@@ -478,6 +547,20 @@ func TestSnapshotFormatUnchanged(t *testing.T) {
 		var got *sim.Snapshot
 		streamEpochs(t, st, streamGoldenSource(t), 1, false, 3, func(s *sim.Snapshot) { got = s })
 		want := readSnapshot(t, "checkpoint-v1-stream.json")
+		live := want.Events[:0]
+		for _, ev := range want.Events {
+			if ev.Kind != segmentKind || ev.Version == want.Cores[ev.Core].PlanVersion {
+				live = append(live, ev)
+			}
+		}
+		if n := len(want.Events) - len(live); n != 3 || len(live) != 66 {
+			t.Fatalf("fixture holds %d events, %d of them replaced plans' segment ends; want 66 and 3", len(live), n)
+		}
+		want.Events = live
+		if want.Counters.EventsProcessed != 97 {
+			t.Fatalf("fixture counts %d events processed, want 97", want.Counters.EventsProcessed)
+		}
+		want.Counters.EventsProcessed = 73
 		if g, w := withoutEvents(got), withoutEvents(want); string(g) != string(w) {
 			t.Errorf("snapshot state differs:\n%s\nwant\n%s", g, w)
 		}

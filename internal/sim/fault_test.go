@@ -49,6 +49,38 @@ func TestOutageHaltsProgress(t *testing.T) {
 	}
 }
 
+// upOnlyPolicy plans like fifoPolicy, but only while core 0 is up, so an
+// outage evacuation is the last word on the core's plan until it recovers.
+type upOnlyPolicy struct{ fifoPolicy }
+
+func (p *upOnlyPolicy) Plan(now float64, s *State) {
+	if s.CoreFaultFactor(0) > 0 {
+		p.fifoPolicy.Plan(now, s)
+	}
+}
+
+// An outage evacuation stops the core's segment timer: the cleared plan's
+// segment end never pops, even when no later install re-keys the timer.
+func TestEvacuationStopsSegmentTimer(t *testing.T) {
+	cfg := testCfg(1)
+	cfg.Faults = []Fault{{Core: 0, Start: 0.05, End: 0.5, SpeedFactor: 0}}
+	jobs := []job.Job{{ID: 0, Release: 0, Deadline: 0.15, Demand: 100, Partial: true}}
+	st, err := Start(cfg, jobs, &upOnlyPolicy{fifoPolicy{speed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DriveLivePops(st, func(LivePop) {}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requeued != 1 {
+		t.Errorf("%d jobs evacuated, want 1", res.Requeued)
+	}
+}
+
 func TestThrottleHalvesProgress(t *testing.T) {
 	cfg := testCfg(1)
 	cfg.Faults = []Fault{{Core: 0, Start: 0, End: 1, SpeedFactor: 0.5}}

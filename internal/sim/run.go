@@ -25,7 +25,7 @@ type Result struct {
 	IdleEnergy  float64 // portion of Energy charged to idle cores (No-DVFS)
 
 	PeakPower        float64 // maximum observed instantaneous dynamic power
-	BudgetViolations int     // events where power exceeded the budget (audit)
+	BudgetViolations int     // processed events after which power exceeded the budget (audit)
 
 	Arrived    int
 	Completed  int
@@ -36,7 +36,7 @@ type Result struct {
 	Retried    int // backoff-delayed queue re-entries (RetryPolicy)
 	Abandoned  int // evacuated jobs the retry policy gave up on
 	Invocation int // policy invocations
-	Events     int // simulator events processed (event-queue pops)
+	Events     int // simulator events processed (pops; a replaced plan's segment ends never pop)
 
 	// RetryQuality is the quality credited to jobs that departed after at
 	// least one evacuation→retry cycle — the quality the retry lifecycle
@@ -118,10 +118,9 @@ const (
 // serves every kind so queue items never box through an interface — pushing
 // an event is pointer-free and allocation-free once the heap has grown.
 type simEvent struct {
-	kind    evKind
-	version int        // segment staleness check (evkSegment)
-	js      *JobState  // evkArrival, evkDeadline
-	core    *CoreState // evkSegment
+	kind evKind
+	js   *JobState  // evkArrival, evkDeadline, evkRetry
+	core *CoreState // evkSegment
 }
 
 // completion records a job finishing inside a settled slice; departures are
@@ -148,13 +147,15 @@ type engine struct {
 	all    []*JobState
 	state  *State
 
-	// The event set is split in two so the heap holds only events in
+	// The event set is split in three so the heap holds only events in
 	// flight. Jobs not yet arrived wait in arrivals, ordered by (release,
 	// seq) from index nextArrival on; a job's deadline event enters the
-	// heap when the job arrives. events holds everything else. nextEvent
-	// merges the two in the heap's own (time, seq) order, so events pop
-	// exactly as if every arrival and deadline had been pushed up front.
+	// heap when the job arrives. Each core's next segment end is its slot
+	// in timers (see armPlan). events holds everything else. nextEvent
+	// merges the three in the heap's own (time, seq) order, so every live
+	// event pops exactly as if it had been pushed up front.
 	events      eventq.Queue[simEvent]
+	timers      eventq.Timers
 	arrivals    []pendingArrival
 	nextArrival int
 
@@ -228,6 +229,7 @@ func newEngine(cfg Config, p Policy) *engine {
 		e.cores[i] = &CoreState{Index: i}
 	}
 	e.state = &State{Cfg: &e.cfg, Cores: e.cores, engine: e}
+	e.timers.Init(cfg.Cores)
 	e.powCache = make([]power.SpeedCache, cfg.Cores)
 	e.idlePower = cfg.Power.DynamicPower(cfg.IdleBurnSpeed)
 	e.coreDraw = make([]float64, cfg.Cores)
@@ -283,11 +285,16 @@ func arrivalOrder(a, b pendingArrival) int {
 func (e *engine) pendingArrivals() int { return len(e.arrivals) - e.nextArrival }
 
 // nextEvent removes and returns the earliest pending event strictly before
-// until: the head of the arrival list or the heap's top, whichever comes
-// first in (time, seq) order. ok is false when no event is due before
-// until.
+// until: the head of the arrival list, the earliest segment timer or the
+// heap's top, whichever comes first in (time, seq) order. ok is false when
+// no event is due before until.
 func (e *engine) nextEvent(until float64) (it eventq.Item[simEvent], ok bool) {
 	top, queued := e.events.Peek()
+	slot, at, seq, timed := e.timers.Min()
+	timed = timed && (!queued || !top.Before(at, seq))
+	if timed {
+		top, queued = eventq.MakeItem(at, seq, simEvent{kind: evkSegment, core: e.cores[slot]}), true
+	}
 	if e.nextArrival < len(e.arrivals) {
 		a := e.arrivals[e.nextArrival]
 		if t := a.js.Job.Release; !queued || !top.Before(t, a.seq) {
@@ -302,13 +309,25 @@ func (e *engine) nextEvent(until float64) (it eventq.Item[simEvent], ok bool) {
 	if !queued || top.Time >= until {
 		return it, false
 	}
-	e.events.Pop()
+	if timed {
+		// Move the core's timer to its next segment end now, before the
+		// event is processed: a plan installed while processing it
+		// re-keys the timer again.
+		c := e.cores[slot]
+		c.segNext++
+		e.armSegment(c)
+	} else {
+		e.events.Pop()
+	}
 	return top, true
 }
 
 // contextPollMask throttles cancelation checks to one atomic load per
-// 1024 events, keeping the hot loop unchanged when no one cancels.
-const contextPollMask = 1023
+// 256 events, keeping the hot loop unchanged when no one cancels. Every
+// event that pops does work (a replaced plan's segment ends never pop), so
+// the period is counted in that work: 256 such events take about as long
+// as the 1,024 the engine popped when most of them were stale.
+const contextPollMask = 255
 
 // processEvent handles one popped event — the body of Stream.Advance's
 // loop. It returns stop = true once every job has departed and no further
@@ -336,9 +355,6 @@ func (e *engine) processEvent(it eventq.Item[simEvent]) (stop bool, err error) {
 			}
 		}
 	case evkSegment:
-		if ev.version != ev.core.planVersion {
-			break // stale: the plan was replaced
-		}
 		e.settleCore(ev.core, now)
 		if e.cfg.Triggers.IdleCore && ev.core.Idle(now) && e.liveWork() {
 			e.invoke(now)
@@ -460,7 +476,8 @@ func (e *engine) evacuateOutages(now float64) {
 		c.Jobs = c.Jobs[:0]
 		c.plan = nil
 		c.planCursor = 0
-		c.planVersion++ // stale-out pending segment events
+		c.planVersion++
+		e.timers.Stop(c.Index)
 		e.redraw(c.Index)
 		e.state.queue = e.queue
 	}
@@ -507,13 +524,28 @@ func (e *engine) invoke(now float64) {
 	e.queue = e.state.queue
 }
 
-// schedulePlanEvents pushes a segment-end event for every segment of the
-// core's freshly installed plan and drops the core's memoized draw.
-func (e *engine) schedulePlanEvents(c *CoreState) {
-	for _, seg := range c.plan {
-		e.events.Push(seg.End, simEvent{kind: evkSegment, core: c, version: c.planVersion})
-	}
+// armPlan re-keys the core's segment timer for its freshly installed plan
+// and drops the core's memoized draw. The plan reserves one sequence
+// number per segment, the numbers pushing every segment's end would take,
+// and the timer is armed at the first segment's end under the first of
+// them (stopped for an empty plan), replacing the old plan's pending
+// segment end: a replaced plan's segments never pop.
+func (e *engine) armPlan(c *CoreState) {
+	c.segSeq = e.events.Reserve(len(c.plan))
+	c.segNext = 0
+	e.armSegment(c)
 	e.redraw(c.Index)
+}
+
+// armSegment arms the core's timer at the end of plan segment segNext,
+// under that segment's reserved number, or stops it once the plan has none
+// left.
+func (e *engine) armSegment(c *CoreState) {
+	if c.segNext < len(c.plan) {
+		e.timers.Set(c.Index, c.plan[c.segNext].End, c.segSeq+uint64(c.segNext))
+	} else {
+		e.timers.Stop(c.Index)
+	}
 }
 
 // settleCore integrates the core's plan up to time T: job progress, energy,
@@ -655,9 +687,9 @@ func (e *engine) depart(js *JobState, t float64, reason DepartReason) {
 // function of time that can only step at its plan's segment edges, so it
 // is recomputed only once now reaches the next edge or the plan changes;
 // the total is re-summed, in core order from the per-core values, only
-// when some core's draw may have moved. Most events — stale segment ends,
-// deadlines of departed jobs — fall between edges and audit in O(1). The
-// values are those the direct computation yields, bit for bit.
+// when some core's draw may have moved. Events that fall between edges —
+// deadlines of departed jobs, quantum ticks between installs — audit in
+// O(1). The values are those the direct computation yields, bit for bit.
 func (e *engine) audit(now float64) {
 	if now >= e.drawUntil {
 		total, until := 0.0, math.Inf(1)

@@ -299,11 +299,13 @@ type CoreState struct {
 	Jobs  []*JobState // assigned, undeparted jobs in arrival order
 
 	plan        []yds.Segment // absolute-time execution plan from the last invocation
-	planVersion int
-	planCursor  int     // first segment not fully settled
-	settledTo   float64 // execution integrated up to here
-	busyTime    float64 // total executing time
-	energy      float64 // dynamic energy from execution
+	planVersion int           // plans installed or evacuated so far (snapshots record it)
+	planCursor  int           // first segment not fully settled
+	segSeq      uint64        // sequence number reserved for plan[0]'s end
+	segNext     int           // plan index of the segment end the core's timer holds
+	settledTo   float64       // execution integrated up to here
+	busyTime    float64       // total executing time
+	energy      float64       // dynamic energy from execution
 }
 
 // Plan returns the core's current plan (shared slice; policies must not

@@ -115,17 +115,18 @@ func (s *State) Requeue(js *JobState) {
 }
 
 // SetPlan installs a new execution plan for a core, replacing any previous
-// plan from the current instant onward. Segments must be ordered,
-// non-overlapping, start no earlier than Now, and reference jobs assigned
-// to the core; violations panic (policy bugs).
+// plan from the current instant onward. Segments must be ordered (none
+// ending before the one it follows), non-overlapping, start no earlier than
+// Now, and reference jobs assigned to the core; violations panic (policy
+// bugs).
 func (s *State) SetPlan(core int, segs []yds.Segment) {
 	c := s.Cores[core]
 	prevEnd := s.Now
-	for _, seg := range segs {
+	for i, seg := range segs {
 		if seg.Start < s.Now-1e-9 {
 			panic(fmt.Sprintf("sim: plan segment for job %d starts at %g before now %g", seg.ID, seg.Start, s.Now))
 		}
-		if seg.Start < prevEnd-1e-9 {
+		if seg.Start < prevEnd-1e-9 || (i > 0 && seg.End < prevEnd) {
 			panic(fmt.Sprintf("sim: plan segments overlap at job %d", seg.ID))
 		}
 		if seg.End < seg.Start {
@@ -151,7 +152,7 @@ func (s *State) SetPlan(core int, segs []yds.Segment) {
 	c.plan = segs
 	c.planCursor = 0
 	c.planVersion++
-	s.engine.schedulePlanEvents(c)
+	s.engine.armPlan(c)
 }
 
 // Discard departs a job immediately with its current progress (§V-D: jobs

@@ -58,6 +58,20 @@ func TestSetPlanRejectsUnassignedJob(t *testing.T) {
 	}
 }
 
+// A segment inside the overlap tolerance may not end before the segment it
+// follows: segment ends pop in plan order.
+func TestSetPlanRejectsNestedSegment(t *testing.T) {
+	p := runProbe(t, func(now float64, s *State) {
+		js := s.Queue()[0]
+		s.AssignToCore(js, 0)
+		end := now + 0.01
+		s.SetPlan(0, []yds.Segment{{ID: 0, Start: now, End: end, Speed: 1}, {ID: 0, Start: end - 5e-10, End: end - 5e-10, Speed: 1}})
+	})
+	if p == nil {
+		t.Fatal("segment ending before its predecessor accepted")
+	}
+}
+
 func TestSetPlanRejectsPast(t *testing.T) {
 	p := runProbe(t, func(now float64, s *State) {
 		js := s.Queue()[0]
@@ -209,5 +223,58 @@ func (p *fifoFourPolicy) Plan(now float64, s *State) {
 			}
 		}
 		s.SetPlan(c.Index, segs)
+	}
+}
+
+// timerProbe plans like fifoPolicy and checks what each install did to the
+// engine's event set.
+type timerProbe struct {
+	fifoPolicy
+	t             *testing.T
+	empty, filled int
+}
+
+func (p *timerProbe) Plan(now float64, s *State) {
+	e := s.engine
+	heap, first := e.events.Len(), e.events.Reserve(0)
+	p.fifoPolicy.Plan(now, s)
+	plan := s.Cores[0].Plan()
+	if n := e.events.Len() - heap; n != 0 {
+		p.t.Errorf("install at %g pushed %d events onto the heap", now, n)
+	}
+	if next := e.events.Reserve(0); next != first+uint64(len(plan)) {
+		p.t.Errorf("install at %g of %d segments reserved %d sequence numbers", now, len(plan), next-first)
+	}
+	slot, at, seq, armed := e.timers.Min()
+	switch {
+	case armed != (len(plan) > 0):
+		p.t.Errorf("install at %g of %d segments: timer armed %v", now, len(plan), armed)
+	case armed && (slot != 0 || at != plan[0].End || seq != first):
+		p.t.Errorf("install at %g: timer (slot %d, %g, seq %d), want (0, %g, seq %d)", now, slot, at, seq, plan[0].End, first)
+	}
+	if len(plan) == 0 {
+		p.empty++
+	} else {
+		p.filled++
+	}
+}
+
+// A plan install pushes nothing onto the event heap. It reserves one
+// sequence number per segment and re-keys the core's timer to the first
+// segment's end under the first of them; an empty plan stops the timer.
+func TestSetPlanRekeysTimer(t *testing.T) {
+	p := &timerProbe{fifoPolicy: fifoPolicy{speed: 1.5}, t: t}
+	cfg := testCfg(1)
+	cfg.Triggers = Triggers{IdleCore: true, Quantum: 0.25} // idle ticks install empty plans
+	jobs := []job.Job{
+		{ID: 0, Release: 0, Deadline: 0.15, Demand: 100, Partial: true},
+		{ID: 1, Release: 0, Deadline: 0.2, Demand: 50, Partial: true},
+		{ID: 2, Release: 1, Deadline: 1.15, Demand: 100, Partial: true},
+	}
+	if _, err := Run(cfg, jobs, p); err != nil {
+		t.Fatal(err)
+	}
+	if p.empty == 0 || p.filled == 0 {
+		t.Errorf("%d empty and %d non-empty installs, want both", p.empty, p.filled)
 	}
 }
