@@ -56,6 +56,7 @@ report:
 fuzz:
 	$(GO) test -fuzz=FuzzWaterLevel -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -fuzz=FuzzBisect -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -fuzz=FuzzDynamicPower -fuzztime=$(FUZZTIME) ./internal/power
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz=FuzzDecodeStreamSnapshot -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/trace

@@ -247,3 +247,25 @@ func BenchmarkSimulateDESRate200(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulateDESPaperLight is the paper server at 60 req/s, the
+// load of the benchmark's paper-light workload: the budget-free schedules
+// fit, so DES takes the step-2 exit and most cores plan with no job.
+func BenchmarkSimulateDESPaperLight(b *testing.B) {
+	wl := dessched.PaperWorkload(60)
+	wl.Duration = 20
+	jobs, err := dessched.GenerateWorkload(wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := dessched.Simulate(dessched.PaperServer(), jobs, dessched.NewDES(dessched.CDVFS))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(res.Arrived)/20, "jobs/simsec")
+		}
+	}
+}

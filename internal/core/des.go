@@ -351,7 +351,10 @@ func (d *DES) planSDVFS(now float64, s *sim.State) {
 // request-only YDS form (bit-identical to the first-segment speed of the
 // full schedule, which is built only when the step-2 exit actually installs
 // it), the WF distribution is reused when its inputs are bit-equal to the
-// previous invocation's, and all intermediate buffers are recycled.
+// previous invocation's, and all intermediate buffers are recycled. A core
+// with no assigned job skips every planner: it requests 0 and gets the
+// empty plan, the values Energy-OPT and Online-QE return for an empty
+// ready set.
 func (d *DES) planCDVFS(now float64, s *sim.State) {
 	if d.naive {
 		d.planCDVFSNaive(now, s)
@@ -366,6 +369,12 @@ func (d *DES) planCDVFS(now float64, s *sim.State) {
 		maxSpeedPow = d.maxSpeedPower(s.Cfg.Power, s.Cfg.MaxSpeed)
 	}
 	for i, c := range s.Cores {
+		if len(c.Jobs) == 0 {
+			// A jobless core requests 0, what Energy-OPT gives an empty
+			// ready set; adding it would leave total's bits unchanged.
+			requests = append(requests, 0)
+			continue
+		}
 		speed, err := d.cores[i].requestSpeed(now, c)
 		if err != nil {
 			panic(fmt.Sprintf("core: budget-free planning failed: %v", err))
@@ -398,9 +407,15 @@ func (d *DES) planCDVFS(now float64, s *sim.State) {
 		// actually being installed; on the (common) budget-constrained path
 		// they were never needed, only their first-segment speeds.
 		for i, c := range s.Cores {
+			if len(c.Jobs) == 0 {
+				s.SetPlan(c.Index, nil)
+				continue
+			}
 			cs := &d.cores[i]
 			next := 1 - cs.cur
-			segs, err := yds.SameReleaseInto(cs.bufs[next].Segments, now, cs.tasks, &cs.reqScr)
+			// requestSpeed left the core's tasks filtered and sorted
+			// in reqScr.
+			segs, err := yds.SameReleasePrepared(cs.bufs[next].Segments, now, &cs.reqScr)
 			if err != nil {
 				panic(fmt.Sprintf("core: budget-free planning failed: %v", err))
 			}
@@ -427,6 +442,10 @@ func (d *DES) planCDVFS(now float64, s *sim.State) {
 		}
 	}
 	for i, c := range s.Cores {
+		if len(c.Jobs) == 0 {
+			s.SetPlan(c.Index, nil)
+			continue
+		}
 		cs := &d.cores[i]
 		cfg := qeopt.Config{
 			Power:    s.Cfg.Power,

@@ -37,16 +37,17 @@ var Default = Model{A: 5, Beta: 2, B: 0}
 var Opteron = Model{A: 2.6075, Beta: 1.791, B: 9.2562}
 
 // Validate returns an error when the model parameters violate the paper's
-// assumptions (a > 0, β > 1, b >= 0).
+// assumptions (a > 0, β > 1, b >= 0) or are not finite. NaN compares false
+// against every bound, so each check is written to fail on it.
 func (m Model) Validate() error {
-	if m.A <= 0 {
-		return fmt.Errorf("power: scaling factor A must be positive, got %g", m.A)
+	if !(m.A > 0) || math.IsInf(m.A, 0) {
+		return fmt.Errorf("power: scaling factor A must be positive and finite, got %g", m.A)
 	}
-	if m.Beta <= 1 {
-		return fmt.Errorf("power: exponent Beta must exceed 1, got %g", m.Beta)
+	if !(m.Beta > 1) || math.IsInf(m.Beta, 0) {
+		return fmt.Errorf("power: exponent Beta must exceed 1 and be finite, got %g", m.Beta)
 	}
-	if m.B < 0 {
-		return fmt.Errorf("power: static power B must be non-negative, got %g", m.B)
+	if !(m.B >= 0) || math.IsInf(m.B, 0) {
+		return fmt.Errorf("power: static power B must be non-negative and finite, got %g", m.B)
 	}
 	return nil
 }
@@ -61,9 +62,20 @@ func (m Model) Power(s float64) float64 {
 }
 
 // DynamicPower returns only the dynamic component A*s^Beta.
+//
+// For the paper's β = 2 it multiplies instead of calling math.Pow, with the
+// same bits: Pow(s, 2) squares Frexp's mantissa and rescales by a power of
+// two, which rounds exactly like s*s while the square is a normal float. A
+// subnormal square is rounded twice by Pow (mantissa, then Ldexp), so it
+// and every other exponent keep math.Pow.
 func (m Model) DynamicPower(s float64) float64 {
 	if s <= 0 {
 		return 0
+	}
+	if m.Beta == 2 {
+		if sq := s * s; sq >= 0x1p-1022 {
+			return m.A * sq
+		}
 	}
 	return m.A * math.Pow(s, m.Beta)
 }

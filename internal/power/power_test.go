@@ -26,6 +26,12 @@ func TestModelValidate(t *testing.T) {
 		{A: 1, Beta: 1},
 		{A: 1, Beta: 0.5},
 		{A: 1, Beta: 2, B: -1},
+		{A: math.NaN(), Beta: 2},
+		{A: math.Inf(1), Beta: 2},
+		{A: 1, Beta: math.NaN()},
+		{A: 1, Beta: math.Inf(1)},
+		{A: 1, Beta: 2, B: math.NaN()},
+		{A: 1, Beta: 2, B: math.Inf(1)},
 	}
 	for _, m := range bad {
 		if m.Validate() == nil {

@@ -1,10 +1,14 @@
 package power
 
 // Table memoizes the speed⇄power conversion of a discrete ladder under one
-// power model, so the per-event scheduling path never calls math.Pow for
-// ladder speeds. Every stored value is computed once with exactly the same
-// Model methods the non-memoized path uses, so lookups are bit-identical to
-// recomputation — the property the engine's golden equivalence test pins.
+// power model. Under the paper's β = 2, Model.DynamicPower is one multiply
+// and a lookup saves little; under any other exponent (the Opteron model's
+// 1.791) every conversion is a math.Pow, which the table keeps off the
+// per-event scheduling path for ladder speeds, and MaxAffordable replaces
+// the math.Pow inversion at every exponent. Every stored value is computed
+// once with exactly the same Model methods the non-memoized path uses, so
+// lookups are bit-identical to recomputation — the property the engine's
+// golden equivalence test pins.
 //
 // The zero value is an empty table (continuous ladder): every method falls
 // back to the model.
@@ -34,8 +38,8 @@ func (t Table) Model() Model { return t.m }
 // DynamicPower returns A·s^Beta, serving exact ladder speeds from the
 // precomputed table and anything else from the model.
 func (t Table) DynamicPower(s float64) float64 {
-	// Ladders are tiny (4-6 levels); a linear scan beats binary search and
-	// math.Pow by an order of magnitude.
+	// Ladders are tiny (4-6 levels); a linear scan beats binary search,
+	// and math.Pow (β ≠ 2) by an order of magnitude.
 	for i, level := range t.levels {
 		if level == s {
 			return t.powers[i]
@@ -70,8 +74,10 @@ func (t Table) Len() int { return len(t.levels) }
 // SpeedCache is a one-entry speed→dynamic-power memo. Schedules hold each
 // speed constant across many consecutive events (a segment spans several
 // event pops), so a single-slot cache per core removes nearly every
-// math.Pow call from the simulator's per-event power audit while returning
-// bit-identical values (the cached number is the model's own output).
+// conversion from the simulator's per-event settle and audit while
+// returning bit-identical values (the cached number is the model's own
+// output). Under β = 2 a conversion is one multiply; under any other
+// exponent it is a math.Pow, which is what the cache saves.
 type SpeedCache struct {
 	speed float64
 	power float64

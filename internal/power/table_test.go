@@ -108,10 +108,19 @@ func TestTableLookupZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkModelDynamicPower(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Default.DynamicPower(2.0)
+	for _, bm := range []struct {
+		name string
+		m    Model
+	}{{"paper", Default}, {"opteron", Opteron}} {
+		b.Run(bm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = bm.m.DynamicPower(2.0)
+			}
+		})
 	}
 }
+
+var sink float64 // keeps benchmarked results live
 
 func BenchmarkTableDynamicPower(b *testing.B) {
 	tab := NewTable(Default, DefaultLadder)

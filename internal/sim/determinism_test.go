@@ -6,10 +6,12 @@ import (
 
 	"dessched/internal/admission"
 	"dessched/internal/core"
+	"dessched/internal/job"
 	"dessched/internal/power"
 	"dessched/internal/sim"
 	"dessched/internal/trace"
 	"dessched/internal/workload"
+	"dessched/internal/yds"
 )
 
 // chaoticConfig is a faulty, admission-controlled setup driving the real
@@ -127,6 +129,72 @@ type goldenScenario struct {
 	cfg    func() sim.Config
 	arch   core.Arch
 	policy func(core.Arch) *core.DES
+	rate   float64 // arrival rate of the workload, req/s
+
+	// minJobless is the fewest plans for cores with no job the optimized
+	// run must make on each path, so the scenario keeps covering the
+	// planning the optimized path skips for them.
+	minJobless joblessCount
+}
+
+// joblessCount tallies per-core plans made for cores with no job: on
+// invocations that take the step-2 exit, on budget-bound ones, and (of
+// either) on cores in an outage.
+type joblessCount struct{ exit, bound, dark int }
+
+// joblessProbe wraps DES and counts the plans it makes for cores with no
+// job. It classifies each invocation as DES does on continuous, uncapped
+// C-DVFS: the step-2 exit when the cores' budget-free requests fit the
+// budget, budget-bound otherwise.
+type joblessProbe struct {
+	*core.DES
+	got   joblessCount
+	ready [][]job.Ready
+	queue []*sim.JobState
+	tasks []yds.Task
+}
+
+func (p *joblessProbe) Plan(now float64, s *sim.State) {
+	if len(p.ready) != len(s.Cores) {
+		p.ready = make([][]job.Ready, len(s.Cores))
+	}
+	for i, c := range s.Cores {
+		p.ready[i] = c.AppendReadyJobs(p.ready[i], now)
+	}
+	p.queue = append(p.queue[:0], s.Queue()...)
+	p.DES.Plan(now, s)
+	for _, js := range p.queue { // where C-RR bound the waiting jobs
+		if js.Core >= 0 {
+			p.ready[js.Core] = append(p.ready[js.Core], job.Ready{Job: js.Job, Done: js.Done})
+		}
+	}
+	jobless, total := 0, 0.0
+	for i := range s.Cores {
+		if len(p.ready[i]) == 0 {
+			jobless++
+			if s.CoreFaultFactor(i) == 0 {
+				p.got.dark++
+			}
+			continue
+		}
+		tasks := p.tasks[:0]
+		for _, r := range p.ready[i] {
+			if r.Deadline > now && r.Remaining() > 0 {
+				tasks = append(tasks, yds.Task{ID: r.ID, Release: now, Deadline: r.Deadline, Volume: r.Remaining()})
+			}
+		}
+		p.tasks = tasks
+		speed, err := yds.SameReleaseRequest(now, tasks, nil)
+		if err != nil {
+			panic(err)
+		}
+		total += s.Cfg.Power.DynamicPower(speed)
+	}
+	if total <= s.Budget() {
+		p.got.exit += jobless
+	} else {
+		p.got.bound += jobless
+	}
 }
 
 func goldenScenarios() []goldenScenario {
@@ -140,35 +208,50 @@ func goldenScenarios() []goldenScenario {
 		}
 	}
 	return []goldenScenario{
-		{name: "chaotic-admission-cdvfs", cfg: chaoticConfig, arch: core.CDVFS, policy: std},
-		{name: "continuous-cdvfs", cfg: paper(4, 60), arch: core.CDVFS, policy: std},
+		{name: "chaotic-admission-cdvfs", cfg: chaoticConfig, arch: core.CDVFS, policy: std, rate: 200},
+		{name: "continuous-cdvfs", cfg: paper(4, 60), arch: core.CDVFS, policy: std, rate: 200},
 		{name: "discrete-cdvfs", cfg: func() sim.Config {
 			cfg := paper(4, 60)()
 			cfg.Ladder = power.DefaultLadder
 			return cfg
-		}, arch: core.CDVFS, policy: std},
+		}, arch: core.CDVFS, policy: std, rate: 200},
 		{name: "two-speed-discrete-cdvfs", cfg: func() sim.Config {
 			cfg := paper(4, 60)()
 			cfg.Ladder = power.OpteronLadder
 			cfg.Power = power.Opteron
 			cfg.TwoSpeedDiscrete = true
 			return cfg
-		}, arch: core.CDVFS, policy: std},
+		}, arch: core.CDVFS, policy: std, rate: 200},
 		{name: "maxspeed-cdvfs", cfg: func() sim.Config {
 			cfg := paper(4, 60)()
 			cfg.MaxSpeed = 2.2
 			return cfg
-		}, arch: core.CDVFS, policy: std},
-		{name: "sdvfs", cfg: paper(4, 60), arch: core.SDVFS, policy: std},
-		{name: "nodvfs", cfg: paper(4, 60), arch: core.NoDVFS, policy: std},
-		{name: "static-power-cdvfs", cfg: paper(4, 60), arch: core.CDVFS, policy: core.NewStaticPower},
-		{name: "plain-rr-cdvfs", cfg: paper(4, 60), arch: core.CDVFS, policy: core.NewPlainRR},
+		}, arch: core.CDVFS, policy: std, rate: 200},
+		{name: "sdvfs", cfg: paper(4, 60), arch: core.SDVFS, policy: std, rate: 200},
+		{name: "nodvfs", cfg: paper(4, 60), arch: core.NoDVFS, policy: std, rate: 200},
+		{name: "static-power-cdvfs", cfg: paper(4, 60), arch: core.CDVFS, policy: core.NewStaticPower, rate: 200},
+		{name: "plain-rr-cdvfs", cfg: paper(4, 60), arch: core.CDVFS, policy: core.NewPlainRR, rate: 200},
+		// The paper server at a light load: the step-2 exit runs with
+		// most cores jobless.
+		{name: "light-16core-cdvfs", cfg: paper(16, 320), arch: core.CDVFS, policy: std, rate: 60,
+			minJobless: joblessCount{exit: 1}},
+		// A budget too small for two busy cores: budget-bound invocations
+		// that leave cores jobless, so Online-QE is skipped for them.
+		{name: "budget-bound-jobless-cdvfs", cfg: paper(8, 10), arch: core.CDVFS, policy: std, rate: 40,
+			minJobless: joblessCount{bound: 1}},
+		// An outage evacuates core 2, which stays jobless until it ends.
+		{name: "outage-empties-core-cdvfs", cfg: func() sim.Config {
+			cfg := paper(4, 60)()
+			cfg.Faults = []sim.Fault{{Core: 2, Start: 0.4, End: 1.4, SpeedFactor: 0}}
+			return cfg
+		}, arch: core.CDVFS, policy: std, rate: 100, minJobless: joblessCount{dark: 1}},
 	}
 }
 
 // goldenRun executes one scenario and returns everything observable about
-// the run: the result, the full execution trace, and the observer stream.
-func goldenRun(t *testing.T, sc goldenScenario, naive bool) (sim.Result, *trace.Trace, []sim.Event) {
+// the run: the result, the full execution trace, and the observer stream,
+// with the count of plans made for jobless cores.
+func goldenRun(t *testing.T, sc goldenScenario, naive bool) (sim.Result, *trace.Trace, []sim.Event, joblessCount) {
 	t.Helper()
 	cfg := sc.cfg()
 	core.ApplyArch(&cfg, sc.arch)
@@ -178,7 +261,7 @@ func goldenRun(t *testing.T, sc goldenScenario, naive bool) (sim.Result, *trace.
 	cfg.Observer = func(e sim.Event) { events = append(events, e) }
 	cfg.CollectJobs = true
 
-	wl := workload.DefaultConfig(200)
+	wl := workload.DefaultConfig(sc.rate)
 	wl.Duration = 2
 	wl.Seed = 11
 	jobs, err := workload.Generate(wl)
@@ -189,11 +272,12 @@ func goldenRun(t *testing.T, sc goldenScenario, naive bool) (sim.Result, *trace.
 	if naive {
 		pol.Naive()
 	}
-	res, err := sim.Run(cfg, jobs, pol)
+	probe := &joblessProbe{DES: pol}
+	res, err := sim.Run(cfg, jobs, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, tr, events
+	return res, tr, events, probe.got
 }
 
 func bitsEqual(a, b float64) bool {
@@ -201,16 +285,21 @@ func bitsEqual(a, b float64) bool {
 }
 
 // The optimized DES planning path (request-only YDS, memoized water-filling,
-// recycled planner scratch, table-driven power lookups) must be a pure
-// performance change: across every architecture, ladder shape, ablation, and
-// the chaotic fault/admission scenario, its schedules, observer stream,
-// per-job outcomes, quality, and energy are byte-identical to the naive
-// reference engine's.
+// recycled planner scratch, table-driven power lookups, no planning for
+// jobless cores) must be a pure performance change: across every
+// architecture, ladder shape, ablation, the chaotic fault/admission
+// scenario, and loads that leave cores jobless on both DES paths and in an
+// outage, its schedules, observer stream, per-job outcomes, quality, and
+// energy are byte-identical to the naive reference engine's.
 func TestOptimizedMatchesNaiveGolden(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			optRes, optTr, optEv := goldenRun(t, sc, false)
-			refRes, refTr, refEv := goldenRun(t, sc, true)
+			optRes, optTr, optEv, jobless := goldenRun(t, sc, false)
+			refRes, refTr, refEv, _ := goldenRun(t, sc, true)
+			t.Logf("jobless plans: %+v", jobless)
+			if want := sc.minJobless; jobless.exit < want.exit || jobless.bound < want.bound || jobless.dark < want.dark {
+				t.Errorf("jobless plans %+v, want at least %+v", jobless, want)
+			}
 
 			if !bitsEqual(optRes.Quality, refRes.Quality) {
 				t.Errorf("Quality %v != naive %v", optRes.Quality, refRes.Quality)

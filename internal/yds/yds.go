@@ -205,7 +205,21 @@ func SameReleaseInto(dst []Segment, now float64, tasks []Task, scratch *Scratch)
 	if err != nil {
 		return nil, err
 	}
+	return scheduleSorted(dst, now, work)
+}
 
+// SameReleasePrepared is SameReleaseInto over the tasks that the scratch's
+// last SameReleaseRequest call, made at the same now, filtered and sorted:
+// it skips preparing them a second time. The result is the one
+// SameReleaseInto returns for those tasks.
+func SameReleasePrepared(dst []Segment, now float64, scratch *Scratch) ([]Segment, error) {
+	return scheduleSorted(dst, now, scratch.work)
+}
+
+// scheduleSorted builds the Energy-OPT schedule of prepared tasks (positive
+// volumes, deadlines after now, sorted by (deadline, ID)) into dst[:0]. It
+// reads work without writing it.
+func scheduleSorted(dst []Segment, now float64, work []Task) ([]Segment, error) {
 	out := dst[:0]
 	cur := now
 	for len(work) > 0 {

@@ -2,6 +2,7 @@ package yds
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -273,5 +274,57 @@ func TestSameReleaseProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// SameReleasePrepared schedules the tasks a SameReleaseRequest call left
+// in its scratch exactly as SameReleaseInto schedules the raw tasks, and
+// the request is that schedule's first speed; the scratch is reused
+// across sets of every size, unsorted, with ties and zero volumes.
+func TestSameReleasePreparedMatchesInto(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	var scr Scratch
+	var buf []Segment
+	for trial := range 500 {
+		now := rng.Float64()
+		tasks := make([]Task, rng.IntN(10))
+		for i := range tasks {
+			tasks[i] = Task{
+				ID:       job.ID(rng.IntN(1000)),
+				Release:  now,
+				Deadline: now + 0.01 + float64(rng.IntN(5))*0.05,
+				Volume:   float64(rng.IntN(4)) * 100 * rng.Float64(),
+			}
+		}
+		speed, err := SameReleaseRequest(now, tasks, &scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SameReleasePrepared(buf, now, &scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = got
+		want, err := SameReleaseInto(nil, now, tasks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d segments, SameReleaseInto gives %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Start) != math.Float64bits(want[i].Start) ||
+				math.Float64bits(got[i].End) != math.Float64bits(want[i].End) ||
+				math.Float64bits(got[i].Speed) != math.Float64bits(want[i].Speed) {
+				t.Fatalf("trial %d segment %d: %+v, SameReleaseInto gives %+v", trial, i, got[i], want[i])
+			}
+		}
+		first := 0.0
+		if len(want) > 0 {
+			first = want[0].Speed
+		}
+		if math.Float64bits(speed) != math.Float64bits(first) {
+			t.Fatalf("trial %d: request %v, schedule's first speed %v", trial, speed, first)
+		}
 	}
 }
