@@ -3,11 +3,27 @@
 // fidelity and reports the headline series values as custom metrics, so
 // `go test -bench=. -benchmem` doubles as a miniature reproduction of the
 // whole evaluation; `desim run -exp figN -paper` gives full fidelity.
-// Micro-benchmarks for the scheduling primitives follow.
+// Micro-benchmarks for the scheduling primitives follow, then two gates
+// that fail the run (b.Fatalf) past fixed ceilings: BenchmarkFleetGates
+// (the streamed 1,024-server fleet's ns/job and peak RSS) and
+// BenchmarkSpansOverheadGate (the always-on tracing tier's cost). Run them
+// alone, in a process that runs nothing else, because peak RSS is the
+// whole process's:
+//
+//	go test -run '^$' -bench '^(BenchmarkFleetGates|BenchmarkSpansOverheadGate)$' -benchtime 1x .
+//
+// Performance claims belong to the benchmark in bench/ (paired runs with
+// dispersion); these gates only catch gross regressions.
 package dessched_test
 
 import (
+	"math"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"dessched"
 	"dessched/internal/dist"
@@ -245,6 +261,168 @@ func BenchmarkSimulateDESRate200(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(res.Arrived)/5, "jobs/simsec")
 		}
+	}
+}
+
+// BenchmarkFleetGates runs the streamed fleet at scale: 1,024 servers × 4
+// cores at 80 W behind round-robin dispatch, hierarchical water-filling
+// over 85% of the summed nominal budgets, and arrivals pulled lazily from
+// the generator at ~60 req/s per server, plain and with the always-on
+// observability tier armed fleet-wide (a sampling tracer on 1% of replans
+// and the flight recorder). Each row fails when a run costs more ns per
+// job, or leaves the process a larger peak resident set, than its ceiling.
+// The 32 s rows' ceilings are 1.5× the 160 s fleet's ns/job and peak RSS
+// measured on 2026-08-08 (18.402158921 s and 86,228,992 B plain,
+// 26.062322737 s and 123,543,552 B armed, over 9,833,674 jobs); the 160 s
+// rows (~9.8M jobs) hold the 1 GiB bounded-memory contract of
+// docs/SCALE.md. Peak RSS is the kernel's high-water mark, which never
+// falls, so each row reads the peak of every row before it.
+func BenchmarkFleetGates(b *testing.B) {
+	server := dessched.PaperServer()
+	server.Cores = 4
+	server.Budget = 80
+	cfg := dessched.ClusterConfig{
+		Servers:      1024,
+		Server:       server,
+		Policy:       "des",
+		Dispatch:     dessched.DispatchRoundRobin,
+		GlobalBudget: 0.85 * 1024 * server.Budget,
+	}
+	for _, row := range []struct {
+		name        string
+		armed       bool
+		horizon     float64 // simulated seconds
+		maxNsPerJob float64 // 0: not gated
+		maxRSS      int64   // bytes
+	}{
+		{"plain-32s", false, 32, 2807, 129_343_488},
+		{"armed-32s", true, 32, 3975, 185_315_328},
+		{"plain-160s", false, 160, 0, 1 << 30},
+		{"armed-160s", true, 160, 0, 1 << 30},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			wl := dessched.PaperWorkload(61440)
+			wl.Duration = row.horizon
+			var wall time.Duration
+			jobs := 0
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				start := time.Now()
+				src, err := dessched.NewWorkloadStream(wl)
+				if err != nil {
+					b.Fatal(err)
+				}
+				run := cfg
+				if row.armed {
+					run.Instrument = &dessched.ClusterInstrument{
+						Tracer: dessched.NewSamplingSpanTracer(dessched.SpanSampleConfig{
+							Seed: 1, Rate: 1, Rates: map[string]float64{"replan": 0.01},
+						}),
+						Flight: dessched.NewFlightRecorder(dessched.FlightConfig{}),
+					}
+				}
+				res, err := dessched.SimulateClusterStream(run, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wall += time.Since(start)
+				jobs += res.Arrived
+			}
+			nsPerJob := float64(wall.Nanoseconds()) / float64(jobs)
+			rss := peakRSSBytes()
+			b.ReportMetric(float64(jobs)/float64(b.N), "jobs/op")
+			b.ReportMetric(nsPerJob, "ns/job")
+			b.ReportMetric(float64(rss)/(1<<20), "peak-RSS-MiB")
+			if row.maxNsPerJob > 0 && nsPerJob > row.maxNsPerJob {
+				b.Fatalf("%.0f ns/job exceeds the %.0f ns/job ceiling", nsPerJob, row.maxNsPerJob)
+			}
+			if rss > row.maxRSS {
+				b.Fatalf("peak RSS %d B (%.1f MiB) exceeds the %d B ceiling: the streamed pipeline is no longer memory-bounded",
+					rss, float64(rss)/(1<<20), row.maxRSS)
+			}
+		})
+	}
+}
+
+// peakRSSBytes reports the process's high-water resident set: VmHWM from
+// /proc/self/status on Linux, the kernel's own peak accounting, which sees
+// every page the Go heap, stacks and runtime ever touched. Elsewhere it
+// falls back to runtime.MemStats.Sys, the bytes Go obtained from the OS.
+func peakRSSBytes() int64 {
+	if raw, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if fields := strings.Fields(line); len(fields) >= 2 && fields[0] == "VmHWM:" {
+				if kb, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
+					return kb * 1024
+				}
+			}
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.Sys)
+}
+
+// BenchmarkSpansOverheadGate holds the always-on observability tier — the
+// sampling span tracer on 1% of replans and the flight recorder, fresh per
+// run — to under 5% ns/event over the bare hot path: the paper server
+// under C-DVFS DES on 1 s of PaperWorkload(200). After one untimed
+// warm-up per side, each iteration times nine interleaved rounds (bare,
+// then armed, each after a runtime.GC()), and the ratio is the armed
+// side's best ns/event over the bare side's. Interleaving cancels clock
+// and cache drift; best-of cancels one-sided noise, since interruptions
+// only ever slow a run down.
+func BenchmarkSpansOverheadGate(b *testing.B) {
+	const limit, rounds = 1.05, 9
+	cfg := dessched.PaperServer()
+	dessched.ApplyArch(&cfg, dessched.CDVFS)
+	wl := dessched.PaperWorkload(200)
+	wl.Duration = 1
+	jobs, err := dessched.GenerateWorkload(wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bare := func() (dessched.Result, error) {
+		return dessched.Simulate(cfg, jobs, dessched.NewDES(dessched.CDVFS))
+	}
+	armed := func() (dessched.Result, error) {
+		tr := dessched.NewSamplingSpanTracer(dessched.SpanSampleConfig{
+			Seed: 1, Rate: 1, Rates: map[string]float64{"replan": 0.01},
+		})
+		fr := dessched.NewFlightRecorder(dessched.FlightConfig{})
+		return dessched.Simulate(cfg, jobs, dessched.NewDES(dessched.CDVFS),
+			dessched.WithSpans(tr), dessched.WithFlight(fr))
+	}
+	timed := func(run func() (dessched.Result, error)) float64 { // ns/event
+		runtime.GC()
+		start := time.Now()
+		res, err := run()
+		wall := time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return float64(wall.Nanoseconds()) / float64(res.Events)
+	}
+	for _, run := range []func() (dessched.Result, error){bare, armed} {
+		if _, err := run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	bestBare, bestArmed := math.Inf(1), math.Inf(1)
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < rounds; r++ {
+			bestBare = math.Min(bestBare, timed(bare))
+			bestArmed = math.Min(bestArmed, timed(armed))
+		}
+	}
+	ratio := bestArmed / bestBare
+	b.ReportMetric(bestBare, "bare-ns/event")
+	b.ReportMetric(bestArmed, "armed-ns/event")
+	b.ReportMetric(ratio, "overhead-ratio")
+	if ratio >= limit {
+		b.Fatalf("overhead ratio %.4f breaches the %.2f gate: the armed tracer+flight tier costs %.0f%% or more ns/event over the bare hot path",
+			ratio, limit, (limit-1)*100)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -143,6 +145,30 @@ func recordLedger(path string, e dessched.LedgerEntry) error {
 	}
 	statusLog.Info("ledger manifest appended", "path", path, "query", "desim ledger list -in "+path)
 	return nil
+}
+
+// peakRSSBytes reports the process's high-water resident set. On Linux it
+// reads VmHWM from /proc/self/status — the kernel's own peak accounting,
+// which sees every page the Go heap, stacks, and runtime ever touched.
+// Elsewhere it falls back to runtime.MemStats.Sys, the bytes Go obtained
+// from the OS (an upper bound on the Go-owned share, blind to peaks).
+func peakRSSBytes() int64 {
+	if raw, err := os.ReadFile("/proc/self/status"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if !strings.HasPrefix(line, "VmHWM:") {
+				continue
+			}
+			fields := strings.Fields(line)
+			if len(fields) >= 2 {
+				if kb, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
+					return kb * 1024
+				}
+			}
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.Sys)
 }
 
 // hashWorkloadFile fingerprints the workload input file for ledger

@@ -26,7 +26,6 @@
 //	desim workload -validate examples/workloads/*.json
 //	desim workload -describe spec.json
 //	desim workload -generate spec.json -out trace.csv [-seed 7] [-duration 120]
-//	desim bench [-out BENCH_sim.json] [-compare old.json] [-quick]
 //	desim verify [-duration 40]
 package main
 
@@ -71,8 +70,6 @@ func main() {
 		err = cmdTournament(os.Args[2:])
 	case "workload":
 		err = cmdWorkload(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "ledger":
 		err = cmdLedger(os.Args[2:])
 	case "verify":
@@ -100,7 +97,6 @@ func usage() {
   desim sweep [flags]                 fan a parameter grid across a worker pool
   desim tournament [flags]            race policies on one workload, report per-class dominance
   desim workload [flags] <files>      validate/describe/compile declarative workload specs
-  desim bench [flags]                 measure simulator throughput, write BENCH_sim.json
   desim ledger list|show|diff [flags] query the run-provenance ledger (results/ledger.jsonl)
   desim verify [-duration s]          check every paper claim; exit 1 on failure
 run flags: -duration s  -seed n  -replicas n  -workers n  -rates a,b,c
@@ -136,8 +132,6 @@ tournament flags: -workload spec.json (required)  -policies p,q@order  -baseline
                   -out report.md  -json report.json
 workload flags: -validate | -describe | -generate -out trace.csv
                 [-seed n] [-duration s]  <spec.json|trace.csv ...>
-bench flags: -out file.json  -compare old.json  -threshold f
-             -repeats n  -duration s  -quick
 ledger verbs: list [-n k]  |  show [idx]  |  diff [a b]   (-in file.jsonl;
               negative indexes count from the latest entry)
 policy names (each also accepts its aliases; see docs/POLICIES.md):

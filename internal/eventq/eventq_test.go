@@ -175,9 +175,9 @@ func TestInterleavedChurnDeterministic(t *testing.T) {
 	}
 }
 
-// Steady-state Push/Pop on a warmed queue must not allocate: the simulator
-// pushes one event per plan segment, so a per-push allocation would dominate
-// the allocs/event budget tracked in BENCH_sim.json.
+// Steady-state Push/Pop on a warmed queue must not allocate: every event
+// the simulator handles passes through the queue, so a per-push allocation
+// would dominate its allocations per event.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 1024; i++ {

@@ -27,7 +27,25 @@ const (
 	maxClusterServers = 1024
 	maxSweepCells     = 1024
 	maxSweepServers   = 16
+	// The engine allocates per-core state before its first event, so
+	// cores is bounded before any config is built: 256 is 4× the largest
+	// core count the paper evaluates (Fig. 9), and with maxClusterServers
+	// it bounds that state near 200 MiB.
+	maxCores = 256
 )
+
+// checkServer bounds the per-server knobs every endpoint accepts: cores in
+// [0, maxCores] and a budget_w that is not negative, where 0 keeps the
+// paper server's default.
+func checkServer(cores int, budget float64) error {
+	if cores < 0 || cores > maxCores {
+		return cfgerr.New("httpapi", "cores", "cores must be in [0, %d], got %d", maxCores, cores)
+	}
+	if !(budget >= 0) {
+		return cfgerr.New("httpapi", "budget_w", "budget_w must not be negative, got %g", budget)
+	}
+	return nil
+}
 
 // ClusterSimRequest is the body of POST /v1/cluster/simulate: one fleet
 // run — M servers behind a dispatcher, optionally sharing a global power
@@ -143,6 +161,9 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 	if req.Servers <= 0 || req.Servers > maxClusterServers {
 		return fail(cfgerr.New("httpapi", "servers",
 			"cluster: servers must be in [1, %d], got %d", maxClusterServers, req.Servers))
+	}
+	if err := checkServer(req.Cores, req.Budget); err != nil {
+		return fail(err)
 	}
 	if req.Workload == nil && req.Rate <= 0 {
 		return fail(cfgerr.New("httpapi", "rate", "cluster: rate must be positive, got %g", req.Rate))
@@ -407,6 +428,11 @@ func (a api) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func runSweep(ctx context.Context, req SweepRequest) (sweep.Report, error) {
+	for _, c := range req.Cores {
+		if err := checkServer(c, 0); err != nil {
+			return sweep.Report{}, err
+		}
+	}
 	grid := sweep.Grid{
 		Rates:            req.Rates,
 		Cores:            req.Cores,

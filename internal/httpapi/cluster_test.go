@@ -179,6 +179,9 @@ func TestClusterSimulateValidation(t *testing.T) {
 	}{
 		{"no servers", `{"rate": 60}`, "invalid_config"},
 		{"too many servers", `{"servers": 1025, "rate": 60}`, "invalid_config"},
+		{"too many cores", `{"servers": 1, "cores": 257, "rate": 10, "duration_s": 1}`, "invalid_config"},
+		{"negative cores", `{"servers": 1, "cores": -3, "rate": 10, "duration_s": 1}`, "invalid_config"},
+		{"negative budget", `{"servers": 1, "budget_w": -80, "rate": 10, "duration_s": 1}`, "invalid_config"},
 		{"no rate", `{"servers": 2}`, "invalid_config"},
 		{"bad dispatch", `{"servers": 2, "rate": 60, "dispatch": "nope"}`, "invalid_config"},
 		{"bad policy", `{"servers": 2, "rate": 60, "policy": "nope"}`, "invalid_config"},
@@ -249,15 +252,21 @@ func TestSweepCellCap(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = "1"
 	}
-	body := `{"rates": [` + strings.Join(rates, ",") + `], "budgets_w": [` +
-		strings.Join(budgets, ",") + `], "seeds": [` + strings.Join(seeds, ",") + `]}`
-	resp, out := postJSON(t, srv.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized grid accepted: %d %s", resp.StatusCode, out)
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(out, &env); err != nil || env.Error.Code != "invalid_config" {
-		t.Errorf("want invalid_config envelope, got %s", out)
+	for _, body := range []string{
+		`{"rates": [` + strings.Join(rates, ",") + `], "budgets_w": [` +
+			strings.Join(budgets, ",") + `], "seeds": [` + strings.Join(seeds, ",") + `]}`,
+		// Every cores entry is held to the per-server core cap.
+		`{"rates": [10], "cores": [4, 257], "duration_s": 1}`,
+	} {
+		resp, out := postJSON(t, srv.URL+"/v1/sweep", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%.60s: accepted: %d %s", body, resp.StatusCode, out)
+			continue
+		}
+		var env ErrorEnvelope
+		if err := json.Unmarshal(out, &env); err != nil || env.Error.Code != "invalid_config" {
+			t.Errorf("%.60s: want invalid_config envelope, got %s", body, out)
+		}
 	}
 }
 

@@ -279,6 +279,9 @@ func (a api) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Entry, error) {
 	fail := func(err error) (SimResponse, ledger.Entry, error) { return SimResponse{}, ledger.Entry{}, err }
+	if err := checkServer(req.Cores, req.Budget); err != nil {
+		return fail(err)
+	}
 	spec, err := cluster.ParsePolicy(req.Policy)
 	if err != nil {
 		return fail(err)

@@ -164,10 +164,13 @@ func TestSimulateBaselineAndArchVariants(t *testing.T) {
 func TestSimulateValidation(t *testing.T) {
 	srv := server(t)
 	for _, body := range []string{
-		`{"policy":"des"}`,                      // no rate
-		`{"policy":"warp","rate":10}`,           // unknown policy
-		`{"policy":"des","arch":"s","rate":10}`, // arch is not a field: spell des-s
-		`{"policy":"fcfs","wf":true,"rate":10}`, // wf is not a field: spell fcfs-wf
+		`{"policy":"des"}`,                                         // no rate
+		`{"policy":"warp","rate":10}`,                              // unknown policy
+		`{"policy":"des","arch":"s","rate":10}`,                    // arch is not a field: spell des-s
+		`{"policy":"fcfs","wf":true,"rate":10}`,                    // wf is not a field: spell fcfs-wf
+		`{"policy":"des","cores":257,"rate":10,"duration_s":1}`,    // over the core cap
+		`{"policy":"des","cores":-5,"rate":10,"duration_s":1}`,     // negative cores
+		`{"policy":"des","budget_w":-80,"rate":10,"duration_s":1}`, // negative budget
 	} {
 		resp, err := http.Post(srv.URL+"/v1/simulate", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -183,6 +183,9 @@ func parseStreamParams(r *http.Request) (streamParams, error) {
 	if p.servers < 1 || p.servers > maxStreamServers {
 		return p, cfgerr.New("httpapi", "servers", "stream: servers must be in [1, %d], got %d", maxStreamServers, p.servers)
 	}
+	if err := checkServer(p.cores, p.budget); err != nil {
+		return p, err
+	}
 	if p.duration <= 0 || p.duration > maxStreamDuration {
 		return p, cfgerr.New("httpapi", "duration_s", "stream: duration_s must be in (0, %d], got %g", maxStreamDuration, p.duration)
 	}

@@ -150,6 +150,10 @@ func TestStreamRejectsBadParams(t *testing.T) {
 		"rate=100&duration_s=1e9",
 		"rate=100&throttle_ms=100000",
 		"rate=100&dispatch=nope",
+		"rate=10&duration_s=1&cores=257",    // over the core cap
+		"rate=10&duration_s=1&cores=-3",     // negative cores
+		"rate=10&duration_s=1&budget_w=-80", // negative budget
+		"rate=10&duration_s=1&budget_w=NaN", // not a budget
 	} {
 		resp, err := http.Get(srv.URL + "/v1/stream?" + q)
 		if err != nil {

@@ -4,7 +4,7 @@
 // config fingerprint (the checkpoint FNV machinery), workload hash,
 // seeds, policies, headline quality/energy/class metrics, invariant
 // outcomes, peak RSS, go version. The point is to make every number in
-// BENCH_sim.json or EXPERIMENTS.md traceable to an exact config+seed:
+// EXPERIMENTS.md or a paper table traceable to an exact config+seed:
 // `desim ledger list|show|diff` queries the file.
 //
 // Entries are one JSON object per line in the stable dessched-run/v1
