@@ -120,7 +120,7 @@ ledger-smoke:
 # links into it). Extend DOCS_LINT_PKGS as more packages graduate.
 DOCS_LINT_PKGS ?= internal/cluster internal/workloadspec internal/registry \
 	internal/telemetry/span internal/telemetry/flightrec internal/telemetry/ledger internal/runlog \
-	internal/sim internal/admission internal/names
+	internal/sim internal/admission internal/names internal/job internal/workload
 docs-lint:
 	@fail=0; \
 	for f in $(foreach p,$(DOCS_LINT_PKGS),$(p)/*.go); do \

@@ -52,6 +52,7 @@ func (j Job) Validate() error {
 	return nil
 }
 
+// String renders the job compactly for logs and test failures.
 func (j Job) String() string {
 	if j.Class != "" {
 		return fmt.Sprintf("J%d[r=%.4g d=%.4g w=%.4g partial=%t class=%s]", j.ID, j.Release, j.Deadline, j.Demand, j.Partial, j.Class)

@@ -3,6 +3,8 @@ package workload
 import (
 	"reflect"
 	"testing"
+
+	"dessched/internal/job"
 )
 
 func TestBurstValidate(t *testing.T) {
@@ -121,5 +123,35 @@ func TestGenerateDroughtThins(t *testing.T) {
 	}
 	if in*2 >= out {
 		t.Errorf("drought window kept %d of %d jobs, want about a quarter of the base rate", in, out)
+	}
+}
+
+// TestBurstEnvelopeCoversEndEdges: a drought [0,10)×0.5 that ends inside a
+// flash crowd [5,20)×3 lifts the rate to 3λ at its end edge, above the rate
+// at any start edge. The thinning envelope must cover it in the batch and
+// the lazy generator alike.
+func TestBurstEnvelopeCoversEndEdges(t *testing.T) {
+	c := DefaultConfig(100)
+	c.Duration, c.Seed = 30, 3
+	c.Bursts = []Burst{{Start: 0, End: 10, Multiplier: 0.5}, {Start: 5, End: 20, Multiplier: 3}}
+	batch, err := Generate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, jobs := range map[string][]job.Job{"Generate": batch, "NewStream": drain(t, s, 1)} {
+		var n int
+		for _, j := range jobs {
+			if j.Release >= 10 && j.Release < 20 {
+				n++
+			}
+		}
+		// 300 req/s over 10 s: about 3,000 arrivals.
+		if n < 2700 {
+			t.Errorf("%s: %d arrivals in [10, 20), want about 3000", name, n)
+		}
 	}
 }

@@ -44,21 +44,26 @@ func DefaultDiurnal(baseRate float64) DiurnalConfig {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors as typed *cfgerr.Error values. NaN
+// and infinite parameters are rejected: NaN compares false against every
+// threshold, and a NaN or infinite rate or horizon never ends the stream.
 func (c DiurnalConfig) Validate() error {
-	if c.BaseRate <= 0 {
-		return cfgerr.New("workload", "base_rate", "workload: base rate must be positive, got %g", c.BaseRate)
+	if !(c.BaseRate > 0) || math.IsInf(c.BaseRate, 0) {
+		return cfgerr.New("workload", "base_rate", "workload: base rate must be positive and finite, got %g", c.BaseRate)
 	}
-	if c.Amplitude < 0 || c.Amplitude >= 1 {
+	if !(c.Amplitude >= 0 && c.Amplitude < 1) {
 		return cfgerr.New("workload", "amplitude", "workload: amplitude must be in [0, 1), got %g", c.Amplitude)
 	}
-	if c.Period <= 0 {
-		return cfgerr.New("workload", "period", "workload: period must be positive, got %g", c.Period)
+	if !(c.Period > 0) || math.IsInf(c.Period, 0) {
+		return cfgerr.New("workload", "period", "workload: period must be positive and finite, got %g", c.Period)
 	}
-	if c.Duration <= 0 || c.Deadline <= 0 {
-		return cfgerr.New("workload", "duration", "workload: duration and deadline must be positive")
+	if !(c.Duration > 0) || math.IsInf(c.Duration, 0) {
+		return cfgerr.New("workload", "duration", "workload: duration must be positive and finite, got %g", c.Duration)
 	}
-	if c.PartialFraction < 0 || c.PartialFraction > 1 {
+	if !(c.Deadline > 0) || math.IsInf(c.Deadline, 0) {
+		return cfgerr.New("workload", "deadline", "workload: deadline window must be positive and finite, got %g", c.Deadline)
+	}
+	if !(c.PartialFraction >= 0 && c.PartialFraction <= 1) {
 		return cfgerr.New("workload", "partial_fraction", "workload: partial fraction must be in [0,1], got %g", c.PartialFraction)
 	}
 	return c.Demand.Validate()
@@ -70,30 +75,12 @@ func (c DiurnalConfig) Rate(t float64) float64 {
 }
 
 // GenerateDiurnal produces the request stream by thinning a homogeneous
-// Poisson process at the peak rate.
+// Poisson process at the peak rate BaseRate·(1+Amplitude).
 func GenerateDiurnal(c DiurnalConfig) ([]job.Job, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewPCG(c.Seed, c.Seed^0xbf58476d1ce4e5b9))
-	peak := c.BaseRate * (1 + c.Amplitude)
-	var jobs []job.Job
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / peak
-		if t >= c.Duration {
-			break
-		}
-		if rng.Float64() > c.Rate(t)/peak {
-			continue // thinned out
-		}
-		jobs = append(jobs, job.Job{
-			ID:       job.ID(len(jobs)),
-			Release:  t,
-			Deadline: t + c.Deadline,
-			Demand:   c.Demand.Sample(rng),
-			Partial:  rng.Float64() < c.PartialFraction,
-		})
-	}
-	return jobs, nil
+	p := Process{Horizon: c.Duration, Deadline: c.Deadline, Peak: c.BaseRate * (1 + c.Amplitude), RateAt: c.Rate, Demand: c.Demand.Sample, PartialFraction: c.PartialFraction}
+	s := &Stream{arr: NewArrivals(p, rand.New(rand.NewPCG(c.Seed, c.Seed^0xbf58476d1ce4e5b9)))}
+	return s.Next(math.Inf(1)), nil
 }

@@ -2,10 +2,12 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 	"dessched/internal/stats"
 )
@@ -74,10 +76,21 @@ func TestDiurnalValidate(t *testing.T) {
 		mod(func(c *DiurnalConfig) { c.Duration = 0 }),
 		mod(func(c *DiurnalConfig) { c.PartialFraction = 2 }),
 		mod(func(c *DiurnalConfig) { c.Demand.Alpha = 0 }),
+		mod(func(c *DiurnalConfig) { c.BaseRate = math.NaN() }),
+		mod(func(c *DiurnalConfig) { c.Amplitude = math.NaN() }),
+		mod(func(c *DiurnalConfig) { c.Period = math.NaN() }),
+		mod(func(c *DiurnalConfig) { c.Duration = math.NaN() }),
+		mod(func(c *DiurnalConfig) { c.Deadline = math.NaN() }),
+		mod(func(c *DiurnalConfig) { c.PartialFraction = math.NaN() }),
+		mod(func(c *DiurnalConfig) { c.BaseRate = math.Inf(1) }),
+		mod(func(c *DiurnalConfig) { c.Period = math.Inf(1) }),
+		mod(func(c *DiurnalConfig) { c.Duration = math.Inf(1) }),
+		mod(func(c *DiurnalConfig) { c.Deadline = math.Inf(1) }),
 	}
 	for i, c := range bad {
-		if c.Validate() == nil {
-			t.Errorf("case %d accepted", i)
+		var ce *cfgerr.Error
+		if err := c.Validate(); !errors.As(err, &ce) {
+			t.Errorf("case %d: Validate returned %v, want a *cfgerr.Error", i, err)
 		}
 	}
 }

@@ -3,7 +3,8 @@
 // demands (α = 3, xmin = 130, xmax = 1000 processing units, mean ≈ 192), a
 // rigid deadline of release + 150 ms, and a configurable fraction of jobs
 // supporting partial evaluation. Generation is deterministic given a seed so
-// every experiment is reproducible.
+// every experiment is reproducible. Every stream here and in workloadspec
+// draws through one sampler, Arrivals.
 package workload
 
 import (
@@ -153,53 +154,29 @@ func (c Config) RateAt(t float64) float64 {
 }
 
 // peakRate returns an upper bound on RateAt over the whole horizon, the
-// thinning envelope for burst-faulted generation.
+// thinning envelope for burst-faulted generation. The rate is piecewise
+// constant, so its maximum is attained just after some burst edge: a start
+// edge where a crowd begins, or an end edge where a drought lifts.
 func (c Config) peakRate() float64 {
 	peak := c.Rate
-	// The rate is piecewise constant, so its maximum is attained just
-	// after some burst's start edge.
 	for _, b := range c.Bursts {
-		if r := c.RateAt(b.Start); r > peak {
-			peak = r
-		}
+		peak = max(peak, c.RateAt(b.Start), c.RateAt(b.End))
 	}
 	return peak
 }
 
 // Generate produces the full request stream for the configuration: jobs
-// sorted by release time with dense IDs from 0. Deadlines are agreeable by
-// construction (constant response window). An invalid config returns an
-// error. Without bursts the stream is homogeneous Poisson (bit-identical
-// to earlier releases of this package); with bursts it is non-homogeneous
-// Poisson sampled by Lewis-Shedler thinning at the peak rate, still
-// deterministic per seed.
+// sorted by release time with dense IDs from 0, Stream drained in one
+// window. Deadlines are agreeable by construction (constant response
+// window). An invalid config returns an error. Without bursts the stream is
+// homogeneous Poisson; with bursts it is non-homogeneous Poisson sampled by
+// Lewis–Shedler thinning, still deterministic per seed.
 func Generate(c Config) ([]job.Job, error) {
-	if err := c.Validate(); err != nil {
+	s, err := NewStream(c)
+	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewPCG(c.Seed, c.Seed^0x9e3779b97f4a7c15))
-	peak := c.peakRate()
-	thinned := len(c.Bursts) > 0
-	var jobs []job.Job
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / peak
-		if t >= c.Duration {
-			break
-		}
-		if thinned && rng.Float64() > c.RateAt(t)/peak {
-			continue // thinned out
-		}
-		j := job.Job{
-			ID:       job.ID(len(jobs)),
-			Release:  t,
-			Deadline: t + c.Deadline,
-			Demand:   c.Demand.Sample(rng),
-			Partial:  rng.Float64() < c.PartialFraction,
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
+	return s.Next(math.Inf(1)), nil
 }
 
 // OfferedLoad returns the long-run demand (units/s) the config offers:

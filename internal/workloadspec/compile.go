@@ -3,63 +3,33 @@ package workloadspec
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"dessched/internal/job"
 	"dessched/internal/workload"
 )
 
 // seedMix is workload.Generate's PCG stream constant; compiled classes use
-// the same mix so a single-class paper-default spec replays the legacy
-// generator's RNG sequence exactly.
+// the same mix so a single-class paper-default spec draws workload.Generate's
+// stream exactly.
 const seedMix = 0x9e3779b97f4a7c15
 
-// Compile deterministically expands the spec into a job stream: each class
-// generates independently from its own seeded RNG, the class streams merge
-// by release time (ties broken by deadline, then class declaration order,
-// then intra-class position), and IDs are reassigned densely from 0 in the
-// merged order. Equal specs always compile to equal streams, and the
+// Compile deterministically expands the spec into a job stream: Stream
+// drained in one window. Each class generates independently from its own
+// seeded RNG, the class streams merge by release time (ties broken by
+// deadline, then class declaration order), and IDs run densely from 0 in
+// the merged order. Equal specs always compile to equal streams, and the
 // paper-default spec reproduces workload.Generate bit-identically.
 func Compile(s *Spec) ([]job.Job, error) {
-	if err := s.Validate(); err != nil {
+	st, err := NewStream(s)
+	if err != nil {
 		return nil, err
 	}
-	type tagged struct {
-		job.Job
-		class int // declaration index
-		pos   int // intra-class arrival index
-	}
-	var all []tagged
-	for ci := range s.Classes {
-		c := &s.Classes[ci]
-		stream := generateClass(s, c, classSeed(s, ci))
-		for pi, j := range stream {
-			all = append(all, tagged{Job: j, class: ci, pos: pi})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Release != all[b].Release {
-			return all[a].Release < all[b].Release
-		}
-		if all[a].Deadline != all[b].Deadline {
-			return all[a].Deadline < all[b].Deadline
-		}
-		if all[a].class != all[b].class {
-			return all[a].class < all[b].class
-		}
-		return all[a].pos < all[b].pos
-	})
-	jobs := make([]job.Job, len(all))
-	for i, t := range all {
-		t.Job.ID = job.ID(i)
-		jobs[i] = t.Job
-	}
-	return jobs, nil
+	return st.Next(math.Inf(1)), nil
 }
 
 // classSeed resolves the RNG seed of class index ci: the class's pinned
 // seed when set, otherwise spec seed + index — which makes a single-class
-// spec use the spec seed verbatim, as the legacy generator would.
+// spec use the spec seed verbatim, as workload.Generate does.
 func classSeed(s *Spec, ci int) uint64 {
 	if c := &s.Classes[ci]; c.Seed != nil {
 		return *c.Seed
@@ -67,12 +37,21 @@ func classSeed(s *Spec, ci int) uint64 {
 	return s.Seed + uint64(ci)
 }
 
-// plain reports whether the class's arrival rate is constant over the whole
-// horizon — no periods, no diurnal profile, no bursts at either level. A
-// plain class skips the thinning draw, replicating workload.Generate's
-// homogeneous fast path draw-for-draw.
-func plain(s *Spec, c *ClassSpec) bool {
-	return len(c.Periods) == 0 && c.Diurnal == nil && len(c.Bursts) == 0 && len(s.Bursts) == 0
+// process returns class ci's arrival process. A class whose rate varies
+// (periods, a diurnal profile, or bursts at either level) thins under
+// peakRate; a plain one draws at its constant rate without thinning, as
+// workload.Generate does for a burst-free config.
+func process(s *Spec, ci int) workload.Process {
+	c := &s.Classes[ci]
+	p := workload.Process{Horizon: s.Duration, Deadline: c.Deadline, Peak: c.Rate, Demand: demandSampler(c.Demand), PartialFraction: 1, Class: c.Name}
+	if c.PartialFraction != nil {
+		p.PartialFraction = *c.PartialFraction
+	}
+	if len(c.Periods) > 0 || c.Diurnal != nil || len(c.Bursts) > 0 || len(s.Bursts) > 0 {
+		p.Peak = peakRate(s, c)
+		p.RateAt = func(t float64) float64 { return rateAt(s, c, t) }
+	}
+	return p
 }
 
 // rateAt returns the class's instantaneous arrival rate at t: the base rate
@@ -151,57 +130,19 @@ func peakRate(s *Spec, c *ClassSpec) float64 {
 	return peak
 }
 
-// sampleDemand draws one service demand. Draw counts per accepted arrival
-// are fixed per distribution (bounded-pareto and uniform consume one
-// uniform variate, point consumes none) so streams stay reproducible.
-func sampleDemand(d *DemandSpec, rng *rand.Rand) float64 {
+// demandSampler returns the class's service-demand sampler. Draw counts per
+// accepted arrival are fixed per distribution (bounded-pareto and uniform
+// consume one uniform variate, point consumes none) so streams stay
+// reproducible.
+func demandSampler(d DemandSpec) func(*rand.Rand) float64 {
 	switch d.Dist {
 	case "bounded-pareto":
-		return workload.BoundedPareto{Alpha: d.Alpha, Xmin: d.Min, Xmax: d.Max}.Sample(rng)
+		return workload.BoundedPareto{Alpha: d.Alpha, Xmin: d.Min, Xmax: d.Max}.Sample
 	case "uniform":
-		return d.Min + rng.Float64()*(d.Max-d.Min)
+		return func(rng *rand.Rand) float64 { return d.Min + rng.Float64()*(d.Max-d.Min) }
 	default: // point
-		return d.Value
+		return func(*rand.Rand) float64 { return d.Value }
 	}
-}
-
-// generateClass produces one class's arrival stream with the exact RNG
-// discipline of workload.Generate: PCG(seed, seed^mix); per candidate
-// arrival one exponential gap at the peak rate, a thinning uniform only
-// when the rate is non-constant, then the demand draw(s) and the partial
-// draw for accepted arrivals. IDs are provisional (intra-class); Compile
-// reassigns them after the merge.
-func generateClass(s *Spec, c *ClassSpec, seed uint64) []job.Job {
-	rng := rand.New(rand.NewPCG(seed, seed^seedMix))
-	pf := 1.0
-	if c.PartialFraction != nil {
-		pf = *c.PartialFraction
-	}
-	thinned := !plain(s, c)
-	peak := c.Rate
-	if thinned {
-		peak = peakRate(s, c)
-	}
-	var jobs []job.Job
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / peak
-		if t >= s.Duration {
-			break
-		}
-		if thinned && rng.Float64() > rateAt(s, c, t)/peak {
-			continue // thinned out
-		}
-		jobs = append(jobs, job.Job{
-			ID:       job.ID(len(jobs)),
-			Release:  t,
-			Deadline: t + c.Deadline,
-			Demand:   sampleDemand(&c.Demand, rng),
-			Partial:  rng.Float64() < pf,
-			Class:    c.Name,
-		})
-	}
-	return jobs
 }
 
 // OfferedLoad returns the long-run demand (units/s) the spec offers across

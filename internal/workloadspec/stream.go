@@ -4,79 +4,18 @@ import (
 	"math/rand/v2"
 
 	"dessched/internal/job"
+	"dessched/internal/workload"
 )
 
-// classStream generates one class's arrival stream incrementally with the
-// exact RNG discipline of generateClass: one exponential gap per candidate,
-// a thinning uniform only when the rate is non-constant, then the demand
-// and partial draws for accepted arrivals. It keeps a one-job lookahead so
-// exhaustion is exact, never optimistic.
-type classStream struct {
-	s       *Spec
-	c       *ClassSpec
-	rng     *rand.Rand
-	pf      float64
-	thinned bool
-	peak    float64
-	t       float64 // time of the last candidate drawn
-	next    job.Job
-	hasNext bool
-}
-
-func newClassStream(s *Spec, c *ClassSpec, seed uint64) *classStream {
-	cs := &classStream{
-		s:       s,
-		c:       c,
-		rng:     rand.New(rand.NewPCG(seed, seed^seedMix)),
-		pf:      1.0,
-		thinned: !plain(s, c),
-		peak:    c.Rate,
-	}
-	if c.PartialFraction != nil {
-		cs.pf = *c.PartialFraction
-	}
-	if cs.thinned {
-		cs.peak = peakRate(s, c)
-	}
-	cs.advance()
-	return cs
-}
-
-// advance draws candidates until one is accepted or the horizon is hit,
-// replicating generateClass draw-for-draw.
-func (cs *classStream) advance() {
-	for {
-		cs.t += cs.rng.ExpFloat64() / cs.peak
-		if cs.t >= cs.s.Duration {
-			cs.hasNext = false
-			return
-		}
-		if cs.thinned && cs.rng.Float64() > rateAt(cs.s, cs.c, cs.t)/cs.peak {
-			continue // thinned out
-		}
-		cs.next = job.Job{
-			Release:  cs.t,
-			Deadline: cs.t + cs.c.Deadline,
-			Demand:   sampleDemand(&cs.c.Demand, cs.rng),
-			Partial:  cs.rng.Float64() < cs.pf,
-			Class:    cs.c.Name,
-		}
-		cs.hasNext = true
-		return
-	}
-}
-
-// Stream is the incremental form of Compile: a job.Source that merges the
-// per-class arrival streams lazily with Compile's exact comparator
-// (release, deadline, class declaration order, intra-class position) and
-// assigns dense IDs in merged order. For any non-decreasing sequence of
-// until values, concatenating Next results reproduces Compile(s)
-// bit-identically. The merge is correct windowed because the comparator's
-// primary key is the release time: every job emitted in an earlier window
-// sorts before every job of a later one.
+// Stream is a job.Source that merges the spec's per-class arrival processes
+// lazily and numbers the merged jobs densely from 0. Jobs leave in order of
+// release, then deadline, then class declaration order; within a class they
+// keep their arrival order. Because release is the primary key, every job of
+// an earlier window sorts before every job of a later one, so any
+// non-decreasing sequence of until values yields the same jobs as Compile.
 type Stream struct {
-	classes []*classStream
-	n       int // dense ID counter
+	classes []*workload.Arrivals // in declaration order
+	n       int                  // dense ID counter
 	buf     []job.Job
 }
 
@@ -86,54 +25,44 @@ func NewStream(s *Spec) (*Stream, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	st := &Stream{classes: make([]*classStream, len(s.Classes))}
+	st := &Stream{classes: make([]*workload.Arrivals, len(s.Classes))}
 	for ci := range s.Classes {
-		st.classes[ci] = newClassStream(s, &s.Classes[ci], classSeed(s, ci))
+		seed := classSeed(s, ci)
+		st.classes[ci] = workload.NewArrivals(process(s, ci), rand.New(rand.NewPCG(seed, seed^seedMix)))
 	}
 	return st, nil
 }
 
 // Next returns the merged arrivals with Release < until, in Compile order.
-// The returned slice is reused by the following Next call. Heads belong to
-// distinct classes, so the intra-class position never has to break a tie.
+// The returned slice is reused by the following Next call.
 func (st *Stream) Next(until float64) []job.Job {
 	st.buf = st.buf[:0]
 	for {
-		best := -1
-		for ci, cs := range st.classes {
-			if cs.hasNext && (best < 0 || headLess(cs.next, ci, st.classes[best].next, best)) {
-				best = ci
+		var head *job.Job
+		best := 0
+		for ci, a := range st.classes {
+			if h := a.Head(); h != nil && (head == nil || h.Release < head.Release ||
+				h.Release == head.Release && h.Deadline < head.Deadline) {
+				head, best = h, ci
 			}
 		}
-		// The least head bounds every stream: if it is not before
-		// until, no head is.
-		if best < 0 || st.classes[best].next.Release >= until {
+		// The least head bounds every class: if it is not before until,
+		// no head is.
+		if head == nil || head.Release >= until {
 			return st.buf
 		}
-		cs := st.classes[best]
-		j := cs.next
+		j := *head
+		st.classes[best].Pop()
 		j.ID = job.ID(st.n)
 		st.n++
-		cs.advance()
 		st.buf = append(st.buf, j)
 	}
 }
 
-// headLess orders two class heads by Compile's merge comparator.
-func headLess(a job.Job, ca int, b job.Job, cb int) bool {
-	if a.Release != b.Release {
-		return a.Release < b.Release
-	}
-	if a.Deadline != b.Deadline {
-		return a.Deadline < b.Deadline
-	}
-	return ca < cb
-}
-
-// Done reports whether every class stream is exhausted.
+// Done reports whether every class is exhausted.
 func (st *Stream) Done() bool {
-	for _, cs := range st.classes {
-		if cs.hasNext {
+	for _, a := range st.classes {
+		if a.Head() != nil {
 			return false
 		}
 	}
