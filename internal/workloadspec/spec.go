@@ -7,9 +7,10 @@
 // uniform, or point mass), quality-function selection, partial-evaluation
 // fraction, and integer SLO priority — and layers piecewise multi-period
 // rate windows, sinusoidal diurnal profiles, and arrival bursts on top of
-// each class's base rate. Compilation is seeded and merge-by-release with a
-// stable tie-break, so equal specs always produce equal streams, and a
-// single-class paper-default spec reproduces the legacy
+// each class's base rate. Each class is one workload.Arrivals process, the
+// sampler behind workload.Generate too. Compilation is seeded and
+// merge-by-release with a stable tie-break, so equal specs always produce
+// equal streams, and a single-class paper-default spec reproduces the
 // workload.Generate(workload.DefaultConfig(rate)) stream bit-identically.
 //
 // Every decode or validation failure is a typed *cfgerr.Error — never a

@@ -38,7 +38,7 @@ func streamTestSpec() *Spec {
 	}
 }
 
-func drainSpec(t *testing.T, s *Stream, step float64) []job.Job {
+func drainSpec(t *testing.T, s job.Source, step float64) []job.Job {
 	t.Helper()
 	var all []job.Job
 	for until := step; !s.Done(); until += step {
