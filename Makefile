@@ -102,25 +102,33 @@ tournament-smoke:
 
 # Run-ledger round trip through the CLI: two recorded runs, list/show/
 # diff over them, and a diff that must call out the seed change — the
-# provenance workflow docs/OBSERVABILITY.md documents, end to end.
+# provenance workflow docs/OBSERVABILITY.md documents, end to end. Then a
+# fleet pair that differs only in -discrete, whose diff must call out the
+# fingerprint: the fleet stamp covers the whole server template.
 ledger-smoke:
 	rm -f /tmp/dessched-ledger.jsonl
 	$(GO) run ./cmd/desim sim -policy des -rate 30 -duration 5 -seed 1 \
 		-ledger /tmp/dessched-ledger.jsonl >/dev/null
 	$(GO) run ./cmd/desim sim -policy des -rate 30 -duration 5 -seed 2 \
 		-ledger /tmp/dessched-ledger.jsonl >/dev/null
+	$(GO) run ./cmd/desim sim -servers 2 -rate 50 -duration 2 \
+		-ledger /tmp/dessched-ledger.jsonl >/dev/null 2>&1
+	$(GO) run ./cmd/desim sim -servers 2 -rate 50 -duration 2 -discrete \
+		-ledger /tmp/dessched-ledger.jsonl >/dev/null 2>&1
 	$(GO) run ./cmd/desim ledger list -in /tmp/dessched-ledger.jsonl
 	$(GO) run ./cmd/desim ledger show -in /tmp/dessched-ledger.jsonl -- -1 \
 		| grep -q '"schema": "dessched-run/v1"'
 	$(GO) run ./cmd/desim ledger diff -in /tmp/dessched-ledger.jsonl 0 1 \
 		| grep -q 'seed: 1 → 2'
+	$(GO) run ./cmd/desim ledger diff -in /tmp/dessched-ledger.jsonl 2 3 \
+		| grep -q '^  fingerprint: '
 
 # Every exported identifier in the streaming-facing packages must carry a
 # doc comment — godoc is part of the documented API surface (docs/SCALE.md
 # links into it). Extend DOCS_LINT_PKGS as more packages graduate.
 DOCS_LINT_PKGS ?= internal/cluster internal/workloadspec internal/registry \
 	internal/telemetry/span internal/telemetry/flightrec internal/telemetry/ledger internal/runlog \
-	internal/sim internal/admission internal/names internal/job internal/workload
+	internal/sim internal/admission internal/names internal/job internal/workload internal/hashing
 docs-lint:
 	@fail=0; \
 	for f in $(foreach p,$(DOCS_LINT_PKGS),$(p)/*.go); do \

@@ -185,48 +185,6 @@ func hashWorkloadFile(path string) string {
 	return dessched.LedgerHashBytes(b)
 }
 
-// ledgerClasses converts per-class results into ledger class metrics.
-func ledgerClasses(classes []dessched.ClassResult) []dessched.LedgerClassMetric {
-	var out []dessched.LedgerClassMetric
-	for _, c := range classes {
-		out = append(out, dessched.LedgerClassMetric{
-			Class: c.Class, NormQuality: c.NormQuality,
-			Completed: c.Completed, Deadlined: c.Deadlined, Shed: c.Shed,
-		})
-	}
-	return out
-}
-
-// clusterLedgerEntry assembles a fleet run's manifest; the caller stamps
-// the flight-dump count before appending.
-func clusterLedgerEntry(fl simInstrumentFlags, ccfg dessched.ClusterConfig,
-	horizon float64, res dessched.ClusterResult) dessched.LedgerEntry {
-	budget := ccfg.GlobalBudget
-	if budget == 0 {
-		budget = ccfg.Server.Budget * float64(ccfg.Servers)
-	}
-	return dessched.LedgerEntry{
-		Cmd:          "sim",
-		Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintClusterConfig(ccfg)),
-		WorkloadHash: hashWorkloadFile(fl.workloadFile),
-		Seed:         fl.seed,
-		Policy:       ccfg.Policy,
-		Workload:     fl.workloadFile,
-		Servers:      ccfg.Servers,
-		Cores:        ccfg.Server.Cores,
-		BudgetW:      budget,
-		DurationS:    horizon,
-		Jobs:         res.Arrived,
-		Quality:      res.Quality,
-		NormQuality:  res.NormQuality,
-		EnergyJ:      res.Energy,
-		Completed:    res.Completed,
-		Deadlined:    res.Deadlined,
-		Shed:         res.Shed,
-		Classes:      ledgerClasses(res.Classes),
-	}
-}
-
 // runClusterSim is cmdSim's -servers > 1 path: one fleet run over src
 // with the full instrumentation surface — live ticker, span trace, epoch
 // series, merged telemetry, flight dumps, and a cluster-trace bundle for
@@ -431,7 +389,12 @@ func runClusterSim(servers int, spec string, cfg dessched.ServerConfig,
 		statusLog.Info("telemetry written", "path", telemetryOut)
 	}
 	if fl.ledgerPath != "" {
-		e := clusterLedgerEntry(fl, ccfg, horizon, res)
+		e := dessched.ClusterLedgerEntry(ccfg, res)
+		e.Cmd = "sim"
+		e.Seed = fl.seed
+		e.Workload = fl.workloadFile
+		e.WorkloadHash = hashWorkloadFile(fl.workloadFile)
+		e.DurationS = horizon
 		if flightRec != nil {
 			e.FlightDumps = len(flightRec.Dumps())
 		}

@@ -388,7 +388,9 @@ func cmdChaos(args []string) error {
 	}
 	fmt.Println(plan.String())
 
-	run := func(faulted bool) (dessched.Result, error) {
+	// run returns the engine config it ran too: the ledger stamps the
+	// faulted run's own config.
+	run := func(faulted bool) (dessched.ServerConfig, dessched.Result, error) {
 		cfg := dessched.PaperServer()
 		cfg.Cores = *cores
 		cfg.Budget = *budget
@@ -413,10 +415,10 @@ func cmdChaos(args []string) error {
 				}
 			}
 			if jobs, err = dessched.CompileWorkload(&sc); err != nil {
-				return dessched.Result{}, err
+				return cfg, dessched.Result{}, err
 			}
 			if cfg.ClassQuality, err = dessched.WorkloadQualityByClass(&sc); err != nil {
-				return dessched.Result{}, err
+				return cfg, dessched.Result{}, err
 			}
 			cfg.ClassPriority = dessched.WorkloadPriorityByClass(&sc)
 		} else {
@@ -427,17 +429,18 @@ func cmdChaos(args []string) error {
 				wl.Bursts = plan.Apply(&cfg)
 			}
 			if jobs, err = dessched.GenerateWorkload(wl); err != nil {
-				return dessched.Result{}, err
+				return cfg, dessched.Result{}, err
 			}
 		}
-		return dessched.Simulate(cfg, jobs, spec.New())
+		res, err := dessched.Simulate(cfg, jobs, spec.New())
+		return cfg, res, err
 	}
 
-	faulted, err := run(true)
+	faultedCfg, faulted, err := run(true)
 	if err != nil {
 		return err
 	}
-	twin, err := run(false)
+	_, twin, err := run(false)
 	if err != nil {
 		return err
 	}
@@ -451,34 +454,13 @@ func cmdChaos(args []string) error {
 			c.DeadlinedDelta, 100*c.ShedFraction)
 	}
 	if *ledgerPath != "" {
-		// The fingerprint pins the fault-free twin's config; the chaos plan
-		// itself is reproducible from the seed recorded alongside.
-		fpCfg := dessched.PaperServer()
-		fpCfg.Cores = *cores
-		fpCfg.Budget = *budget
-		spec.Configure(&fpCfg)
-		fpCfg.QueueOrder = order
-		e := dessched.LedgerEntry{
-			Cmd:          "chaos",
-			Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintServerConfig(fpCfg, spec.Name)),
-			WorkloadHash: hashWorkloadFile(*workloadFile),
-			Seed:         *seed,
-			Policy:       spec.Name,
-			Workload:     *workloadFile,
-			Servers:      1,
-			Cores:        *cores,
-			BudgetW:      *budget,
-			DurationS:    *duration,
-			Jobs:         faulted.Arrived,
-			Quality:      faulted.Quality,
-			NormQuality:  faulted.NormQuality,
-			EnergyJ:      faulted.Energy,
-			Completed:    faulted.Completed,
-			Deadlined:    faulted.Deadlined,
-			Shed:         faulted.Shed,
-			Classes:      ledgerClasses(faulted.Classes),
-			Note:         fmt.Sprintf("chaos soak: quality retained %.4f vs fault-free twin", rep.QualityRetained),
-		}
+		e := dessched.ServerLedgerEntry(&faultedCfg, spec.Name, faulted)
+		e.Cmd = "chaos"
+		e.Seed = *seed
+		e.Workload = *workloadFile
+		e.WorkloadHash = hashWorkloadFile(*workloadFile)
+		e.DurationS = *duration
+		e.Note = fmt.Sprintf("chaos soak: quality retained %.4f vs fault-free twin", rep.QualityRetained)
 		if err := recordLedger(*ledgerPath, e); err != nil {
 			return err
 		}
@@ -843,26 +825,12 @@ func cmdSim(args []string) error {
 		if wlSpec != nil {
 			dur = wlSpec.Duration
 		}
-		e := dessched.LedgerEntry{
-			Cmd:          "sim",
-			Fingerprint:  dessched.LedgerFingerprint(dessched.FingerprintServerConfig(cfg, spec.Name)),
-			WorkloadHash: hashWorkloadFile(*workloadFile),
-			Seed:         *seed,
-			Policy:       spec.Name,
-			Workload:     *workloadFile,
-			Servers:      1,
-			Cores:        *cores,
-			BudgetW:      *budget,
-			DurationS:    dur,
-			Jobs:         res.Arrived,
-			Quality:      res.Quality,
-			NormQuality:  res.NormQuality,
-			EnergyJ:      res.Energy,
-			Completed:    res.Completed,
-			Deadlined:    res.Deadlined,
-			Shed:         res.Shed,
-			Classes:      ledgerClasses(res.Classes),
-		}
+		e := dessched.ServerLedgerEntry(&cfg, spec.Name, res)
+		e.Cmd = "sim"
+		e.Seed = *seed
+		e.Workload = *workloadFile
+		e.WorkloadHash = hashWorkloadFile(*workloadFile)
+		e.DurationS = dur
 		if flightRec != nil {
 			e.FlightDumps = len(flightRec.Dumps())
 		}

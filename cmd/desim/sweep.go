@@ -109,32 +109,11 @@ func cmdSweep(args []string) error {
 		"wall_s", fmt.Sprintf("%.2f", rep.WallSeconds),
 		"cells_per_s", fmt.Sprintf("%.1f", rep.CellsPerSec), "workers", rep.Workers)
 
-	if *ledgerPath != "" && len(rep.Cells) > 0 {
-		// One manifest for the whole grid: the winning cell's headline
-		// numbers, every policy and seed, and the workload hash, so a ledger
-		// diff explains exactly which knob moved between two sweeps.
-		best := rep.Cells[0]
-		jobs := 0
-		for _, c := range rep.Cells {
-			jobs += c.Arrived
-			if c.NormQuality > best.NormQuality {
-				best = c
-			}
-		}
-		e := dessched.LedgerEntry{
-			Cmd:          "sweep",
-			WorkloadHash: hashWorkloadFile(*workloadFile),
-			Seeds:        grid.Seeds,
-			Policies:     grid.Policies,
-			Workload:     *workloadFile,
-			Servers:      *servers,
-			DurationS:    *duration,
-			Jobs:         jobs,
-			NormQuality:  best.NormQuality,
-			EnergyJ:      best.Energy,
-			Note: fmt.Sprintf("sweep: %d cells; best cell policy=%s rate=%g cores=%d budget=%g seed=%d",
-				len(rep.Cells), best.Policy, best.Rate, best.Cores, best.Budget, best.Seed),
-		}
+	if *ledgerPath != "" {
+		e := dessched.SweepLedgerEntry(rep)
+		e.Cmd = "sweep"
+		e.Workload = *workloadFile
+		e.WorkloadHash = hashWorkloadFile(*workloadFile)
 		if err := recordLedger(*ledgerPath, e); err != nil {
 			return err
 		}

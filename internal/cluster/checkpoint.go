@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
-	"math"
 	"sort"
 
 	"dessched/internal/cfgerr"
+	"dessched/internal/hashing"
 	"dessched/internal/sim"
 )
 
@@ -49,7 +49,7 @@ func (c *StreamCheckpointConfig) Validate() error {
 type StreamSnapshot struct {
 	Version     string `json:"version"`
 	Kind        string `json:"kind"`
-	Fingerprint uint64 `json:"fingerprint"` // fingerprintClusterConfig (no workload)
+	Fingerprint uint64 `json:"fingerprint"` // FingerprintConfig (no workload)
 	Servers     int    `json:"servers"`
 	Epoch       int    `json:"epoch"`     // completed dispatch epochs
 	JobsFed     int    `json:"jobs_fed"`  // arrivals consumed from the source
@@ -160,151 +160,48 @@ func (c *coordinator) snapshot(streams []*sim.Stream, epoch int) (*StreamSnapsho
 	return &StreamSnapshot{
 		Version:     sim.SnapshotVersion,
 		Kind:        StreamSnapshotKind,
-		Fingerprint: fingerprintClusterConfig(c.cfg),
+		Fingerprint: FingerprintConfig(c.cfg),
 		Servers:     c.cfg.Servers,
 		Epoch:       epoch,
 		JobsFed:     c.fed,
-		JobsHash:    c.hash.h,
+		JobsHash:    c.hash.Sum(),
 		Captured:    captured,
 		PerServer:   per,
 	}, nil
 }
 
-// fingerprintClusterConfig is the configuration fingerprint snapshots
-// carry: the workload cannot be hashed up front (it is pulled lazily), so
-// snapshots pin the config here and verify the arrival prefix separately
-// with a rolling hash (StreamSnapshot.JobsHash).
-func fingerprintClusterConfig(cfg Config) uint64 {
-	var f fnvCluster
-	f.init()
-	hashClusterConfig(&f, cfg)
-	return f.h
-}
-
-// hashClusterConfig folds every configuration field the dispatch, hedging,
-// and budget stages depend on into the accumulator.
-func hashClusterConfig(f *fnvCluster, cfg Config) {
-	f.u64(uint64(cfg.Servers))
-	f.u64(uint64(cfg.Dispatch))
-	f.f64(cfg.GlobalBudget)
-	f.f64(cfg.Epoch)
-	f.f64(cfg.Headroom)
-	name := "custom"
-	if cfg.NewPolicy == nil {
-		if spec, err := ParsePolicy(cfg.Policy); err == nil {
-			name = spec.Name
-		}
-	}
-	f.str(name)
-	f.u64(uint64(cfg.Server.Cores))
-	f.f64(cfg.Server.Budget)
-	f.f64(cfg.Server.MaxSpeed)
-	f.f64(cfg.Server.Retry.Backoff)
-	f.f64(cfg.Server.Retry.Multiplier)
-	f.f64(cfg.Server.Retry.MaxBackoff)
-	f.f64(cfg.Server.Retry.DeadlineSlack)
-	f.u64(uint64(cfg.Server.Retry.MaxAttempts))
-	f.f64(cfg.Hedge.Window)
-	f.u64(uint64(cfg.Hedge.Limit))
-	if cfg.Server.Quality != nil {
-		f.str(cfg.Server.Quality.Name())
-		for _, x := range []float64{1, 10, 100, 500, 1000} {
-			f.f64(cfg.Server.Quality.Eval(x))
-		}
-	}
-	// Class-quality overrides and job classes are hashed only when present,
-	// keeping fingerprints of legacy class-free runs unchanged.
-	if len(cfg.Server.ClassQuality) > 0 {
-		names := make([]string, 0, len(cfg.Server.ClassQuality))
-		for n := range cfg.Server.ClassQuality {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		f.u64(uint64(len(names)))
-		for _, n := range names {
-			q := cfg.Server.ClassQuality[n]
-			f.str(n)
-			f.str(q.Name())
-			for _, x := range []float64{1, 10, 100, 500, 1000} {
-				f.f64(q.Eval(x))
-			}
-		}
-	}
-	// SLO knobs (queue order, class priorities, admission, by-class
-	// partitions) are likewise folded only when set, so fingerprints of
-	// runs predating the knobs stay stable.
-	if cfg.Server.QueueOrder != sim.OrderFCFS {
-		f.u64(uint64(cfg.Server.QueueOrder))
-	}
-	if len(cfg.Server.ClassPriority) > 0 {
-		names := make([]string, 0, len(cfg.Server.ClassPriority))
-		for n := range cfg.Server.ClassPriority {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		f.u64(uint64(len(names)))
-		for _, n := range names {
-			f.str(n)
-			f.u64(uint64(cfg.Server.ClassPriority[n]))
-		}
-	}
-	if cfg.Server.Admission.Enabled() {
-		f.u64(uint64(cfg.Server.Admission.Policy))
-		f.u64(uint64(cfg.Server.Admission.MaxQueue))
-	}
-	if len(cfg.Classes) > 0 {
-		f.u64(uint64(len(cfg.Classes)))
-		for _, n := range cfg.Classes {
-			f.str(n)
-		}
-	}
-	f.u64(uint64(len(cfg.Faults)))
-	for _, fs := range cfg.Faults {
-		f.u64(uint64(len(fs)))
-		for _, ft := range fs {
-			f.u64(uint64(ft.Core))
-			f.f64(ft.Start)
-			f.f64(ft.End)
-			f.f64(ft.SpeedFactor)
-		}
-	}
-}
-
-// fnvCluster is a FNV-1a accumulator over the cluster fingerprint fields.
-type fnvCluster struct{ h uint64 }
-
-func (f *fnvCluster) init() { f.h = 14695981039346656037 }
-
-func (f *fnvCluster) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		f.h ^= v & 0xff
-		f.h *= 1099511628211
-		v >>= 8
-	}
-}
-
-func (f *fnvCluster) f64(v float64) { f.u64(math.Float64bits(v)) }
-
-func (f *fnvCluster) b(v bool) {
-	if v {
-		f.u64(1)
-	} else {
-		f.u64(0)
-	}
-}
-
-func (f *fnvCluster) str(s string) {
-	f.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		f.h ^= uint64(s[i])
-		f.h *= 1099511628211
-	}
-}
-
-// FingerprintConfig exposes the cluster configuration fingerprint to
-// provenance tooling (the run ledger): the same stable FNV-1a hash the
-// checkpoint layer uses to refuse resuming under a drifted config, minus
-// the workload (hash the spec or trace bytes separately).
+// FingerprintConfig is the configuration fingerprint fleet snapshots carry
+// and ResumeStream checks: sim.FingerprintConfig of the server template
+// under the canonical policy name, folded with every cluster-level field
+// that affects outcomes, defaults filled in. The workload cannot be hashed
+// up front (it is pulled lazily), so snapshots verify the arrival prefix
+// separately with a rolling hash (StreamSnapshot.JobsHash); run ledgers
+// hash the spec or trace bytes.
 func FingerprintConfig(cfg Config) uint64 {
-	return fingerprintClusterConfig(cfg)
+	cfg = cfg.withDefaults()
+	spec, _ := cfg.PolicySpec()
+	f := hashing.New()
+	f.U64(sim.FingerprintConfig(&cfg.Server, spec.Name))
+	f.Int(cfg.Servers)
+	f.Int(int(cfg.Dispatch))
+	f.Int(len(cfg.Classes))
+	for _, n := range cfg.Classes {
+		f.Str(n)
+	}
+	f.F64(cfg.GlobalBudget)
+	f.F64(cfg.Epoch)
+	f.F64(cfg.Headroom)
+	f.Int(len(cfg.Faults))
+	for _, fs := range cfg.Faults {
+		f.Int(len(fs))
+		for _, ft := range fs {
+			f.Int(ft.Core)
+			f.F64(ft.Start)
+			f.F64(ft.End)
+			f.F64(ft.SpeedFactor)
+		}
+	}
+	f.F64(cfg.Hedge.Window)
+	f.Int(cfg.Hedge.Limit)
+	return f.Sum()
 }

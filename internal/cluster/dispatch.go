@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"dessched/internal/hashing"
 	"dessched/internal/job"
 	"dessched/internal/names"
 	"dessched/internal/sim"
@@ -151,15 +152,6 @@ func serverUp(cores int, outages [][]interval, t float64) bool {
 	return false
 }
 
-// splitmix64 is the finalizer of the splitmix64 generator — a cheap,
-// well-mixed 64-bit hash for sticky job routing.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // pending is one dispatched job's load accounting entry for LeastLoaded.
 type pending struct{ deadline, demand float64 }
 
@@ -269,7 +261,7 @@ func (dp *dispatcher) route(j job.Job) (server int, rerouted bool) {
 		dp.queues[s] = append(dp.queues[s], pending{j.Deadline, j.Demand})
 		dp.outstanding[s] += j.Demand
 	case Hash:
-		s = int(splitmix64(uint64(j.ID)) % uint64(dp.servers))
+		s = int(hashing.SplitMix64(uint64(j.ID)) % uint64(dp.servers))
 		if !allDown {
 			for !dp.up(s, t) {
 				s = (s + 1) % dp.servers

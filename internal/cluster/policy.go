@@ -75,3 +75,13 @@ func ParsePolicy(name string) (PolicySpec, error) {
 	spec.Name = r.Name
 	return spec, nil
 }
+
+// PolicySpec resolves the policy the fleet's servers run: a NewPolicy
+// factory as "custom", else Policy through ParsePolicy. Its Name is the
+// canonical name fingerprints and run ledgers record.
+func (c Config) PolicySpec() (PolicySpec, error) {
+	if c.NewPolicy != nil {
+		return PolicySpec{Name: "custom", New: c.NewPolicy}, nil
+	}
+	return ParsePolicy(c.Policy)
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dessched/internal/cfgerr"
+	"dessched/internal/hashing"
 	"dessched/internal/job"
 	"dessched/internal/sim"
 	"dessched/internal/telemetry"
@@ -22,14 +23,13 @@ import (
 // hedge-pair bookkeeping (cap it with Hedge.Limit) and the probes a job
 // slice admits (Instrument.Traces) grow with the number of jobs.
 type coordinator struct {
-	cfg      Config
-	spec     PolicySpec
-	server   sim.Config // configured template (spec.Configure applied)
-	epochLen float64
-	nominal  float64
-	outages  [][][]interval
-	dp       *dispatcher
-	filler   *epochFiller // nil when GlobalBudget <= 0
+	cfg     Config
+	spec    PolicySpec
+	server  sim.Config // configured template (spec.Configure applied)
+	nominal float64
+	outages [][][]interval
+	dp      *dispatcher
+	filler  *epochFiller // nil when GlobalBudget <= 0
 
 	validator   job.StreamValidator
 	batches     [][]job.Job // current epoch's per-server arrivals (reused)
@@ -40,7 +40,7 @@ type coordinator struct {
 	horizon     float64 // max deadline seen
 	lastRelease float64
 	fed         int
-	hash        fnvCluster
+	hash        hashing.FNV1a
 
 	srcDone bool
 	nBudget int // budget epochs = ⌈horizon/ε⌉, valid once srcDone
@@ -72,24 +72,14 @@ type coordinator struct {
 // newCoordinator prepares the coordinator of a run. materialized marks a
 // job-slice source: hedged runs then collect per-job outcomes.
 func newCoordinator(cfg Config, materialized bool) *coordinator {
-	spec := PolicySpec{Name: "custom", New: cfg.NewPolicy}
-	if cfg.NewPolicy == nil {
-		spec, _ = ParsePolicy(cfg.Policy)
-	}
+	cfg = cfg.withDefaults()
+	spec, _ := cfg.PolicySpec()
 	server := cfg.Server
 	if spec.Configure != nil {
 		spec.Configure(&server)
 	}
 	if materialized && cfg.Hedge.Enabled() {
 		server.CollectJobs = true
-	}
-	epochLen := cfg.Epoch
-	if epochLen == 0 {
-		epochLen = 1.0
-	}
-	headroom := cfg.Headroom
-	if headroom == 0 {
-		headroom = 1.25
 	}
 	outages := make([][][]interval, cfg.Servers)
 	for s := 0; s < cfg.Servers; s++ {
@@ -101,19 +91,18 @@ func newCoordinator(cfg Config, materialized bool) *coordinator {
 		cfg:      cfg,
 		spec:     spec,
 		server:   server,
-		epochLen: epochLen,
 		nominal:  server.Budget,
 		outages:  outages,
 		dp:       newDispatcher(cfg.Dispatch, cfg.Servers, server.Cores, outages, cfg.Classes),
 		batches:  make([][]job.Job, cfg.Servers),
 		jobs:     make([]int, cfg.Servers),
+		hash:     hashing.New(),
 		hedging:  cfg.Hedge.Enabled() && cfg.Servers >= 2,
 		root:     span.NoSpan,
 		dispatch: span.NoSpan,
 	}
-	c.hash.init()
 	if cfg.GlobalBudget > 0 {
-		c.filler = newEpochFiller(cfg.Servers, server, cfg.GlobalBudget, epochLen, headroom, outages)
+		c.filler = newEpochFiller(cfg.Servers, server, cfg.GlobalBudget, cfg.Epoch, cfg.Headroom, outages)
 		c.demand = make([]float64, cfg.Servers)
 		c.fracs = make([]float64, cfg.Servers)
 	}
@@ -150,7 +139,7 @@ func newCoordinator(cfg Config, materialized bool) *coordinator {
 }
 
 // epochEnd is the right edge of dispatch epoch e.
-func (c *coordinator) epochEnd(e int) float64 { return float64(e)*c.epochLen + c.epochLen }
+func (c *coordinator) epochEnd(e int) float64 { return float64(e)*c.cfg.Epoch + c.cfg.Epoch }
 
 // ingest routes one epoch's arrivals: per job, in order — validate, fold
 // into the rolling hash, route, account demand and horizon, and apply the
@@ -170,13 +159,13 @@ func (c *coordinator) ingest(epoch int, arr []job.Job) error {
 		if j.Release >= t1 {
 			return cfgerr.New("cluster", "source", "cluster: source returned a job released at %g past the epoch end %g", j.Release, t1)
 		}
-		c.hash.u64(uint64(j.ID))
-		c.hash.f64(j.Release)
-		c.hash.f64(j.Deadline)
-		c.hash.f64(j.Demand)
-		c.hash.b(j.Partial)
+		c.hash.U64(uint64(j.ID))
+		c.hash.F64(j.Release)
+		c.hash.F64(j.Deadline)
+		c.hash.F64(j.Demand)
+		c.hash.Bool(j.Partial)
 		if j.Class != "" {
-			c.hash.str(j.Class)
+			c.hash.Str(j.Class)
 		}
 		s, moved := c.dp.route(j)
 		if moved {
@@ -246,7 +235,7 @@ func (c *coordinator) noteDone(epoch int) {
 	}
 	c.srcDone = true
 	if c.filler != nil && c.horizon > 0 {
-		c.nBudget = int(math.Ceil(c.horizon / c.epochLen))
+		c.nBudget = int(math.Ceil(c.horizon / c.cfg.Epoch))
 	}
 	c.n = c.nBudget
 	if c.n < epoch+1 {
@@ -265,7 +254,7 @@ func (c *coordinator) fillable(e int) bool {
 // epoch's span and budget windows when those probes are attached.
 func (c *coordinator) fill(e int) []float64 {
 	assigned := c.filler.fill(e, c.demand)
-	t0, t1 := float64(e)*c.epochLen, c.epochEnd(e)
+	t0, t1 := float64(e)*c.cfg.Epoch, c.epochEnd(e)
 	if c.tracer != nil {
 		level, total := 0.0, 0.0
 		for _, a := range assigned {
@@ -311,7 +300,7 @@ func (c *coordinator) finishBudget() []float64 {
 		return shareW
 	}
 	if c.traces {
-		end := float64(c.nBudget) * c.epochLen
+		end := float64(c.nBudget) * c.cfg.Epoch
 		for s := range c.windows {
 			c.closeWindow(s, end)
 		}
@@ -395,7 +384,7 @@ func (c *coordinator) serverCfg(s int, probes []serverProbes) sim.Config {
 		if ins.Series != nil {
 			p.rec = telemetry.NewSeriesRecorder(ins.Series.Cap())
 			p.rec.OnSample = ins.Series.OnSample
-			p.sampler = telemetry.NewEpochSampler(p.rec, s, c.epochLen, scfg)
+			p.sampler = telemetry.NewEpochSampler(p.rec, s, c.cfg.Epoch, scfg)
 			observers = append(observers, p.sampler.Observe)
 			recorders = append(recorders, p.sampler)
 		}

@@ -317,26 +317,9 @@ func runCluster(ctx context.Context, req ClusterSimRequest) (ClusterSimResponse,
 			resp.Series = ins.Series.Samples()
 		}
 	}
-	entry := ledger.Entry{
-		Fingerprint: ledger.Fingerprint(cluster.FingerprintConfig(cfg)),
-		Seed:        req.Seed,
-		Policy:      res.Policy,
-		Servers:     res.Servers,
-		Cores:       server.Cores,
-		BudgetW:     server.Budget * float64(res.Servers),
-		DurationS:   horizon,
-		Jobs:        res.Arrived,
-		Quality:     res.Quality,
-		NormQuality: res.NormQuality,
-		EnergyJ:     res.Energy,
-		Completed:   res.Completed,
-		Deadlined:   res.Deadlined,
-		Shed:        res.Shed,
-		Classes:     ledgerClasses(res.Classes),
-	}
-	if req.GlobalBudget > 0 {
-		entry.BudgetW = req.GlobalBudget
-	}
+	entry := ledger.FleetEntry(cfg, res)
+	entry.Seed = req.Seed
+	entry.DurationS = horizon
 	if req.Workload != nil {
 		entry.Workload = req.Workload.Name
 		if raw, err := json.Marshal(req.Workload); err == nil {
@@ -401,29 +384,7 @@ func (a api) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(rep.Cells) > 0 {
-		// Mirror `desim sweep -ledger`: one manifest for the grid, keyed on
-		// the best cell by normalized quality.
-		best := rep.Cells[0]
-		jobs := 0
-		for _, c := range rep.Cells {
-			jobs += c.Arrived
-			if c.NormQuality > best.NormQuality {
-				best = c
-			}
-		}
-		a.record(r, ledger.Entry{
-			Seeds:       req.Seeds,
-			Policies:    req.Policies,
-			Servers:     req.Servers,
-			DurationS:   req.Duration,
-			Jobs:        jobs,
-			NormQuality: best.NormQuality,
-			EnergyJ:     best.Energy,
-			Note: fmt.Sprintf("sweep: %d cells; best cell policy=%s rate=%g cores=%d budget=%g seed=%d",
-				len(rep.Cells), best.Policy, best.Rate, best.Cores, best.Budget, best.Seed),
-		})
-	}
+	a.record(r, ledger.SweepEntry(rep))
 	writeJSON(w, http.StatusOK, rep)
 }
 

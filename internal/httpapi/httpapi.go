@@ -433,23 +433,9 @@ func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Ent
 	}
 	// The provenance manifest fingerprints the exact engine config the run
 	// used.
-	entry := ledger.Entry{
-		Fingerprint: ledger.Fingerprint(sim.FingerprintConfig(&cfg, res.Policy)),
-		Seed:        req.Seed,
-		Policy:      res.Policy,
-		Servers:     1,
-		Cores:       cfg.Cores,
-		BudgetW:     cfg.Budget,
-		DurationS:   horizon,
-		Jobs:        res.Arrived,
-		Quality:     res.Quality,
-		NormQuality: res.NormQuality,
-		EnergyJ:     res.Energy,
-		Completed:   res.Completed,
-		Deadlined:   res.Deadlined,
-		Shed:        res.Shed,
-		Classes:     ledgerClasses(res.Classes),
-	}
+	entry := ledger.ServerEntry(&cfg, spec.Name, res)
+	entry.Seed = req.Seed
+	entry.DurationS = horizon
 	if req.Workload != nil {
 		entry.Workload = req.Workload.Name
 		if raw, err := json.Marshal(req.Workload); err == nil {
@@ -457,21 +443,6 @@ func runSimulation(ctx context.Context, req SimRequest) (SimResponse, ledger.Ent
 		}
 	}
 	return resp, entry, nil
-}
-
-// ledgerClasses projects per-class results into ledger class metrics.
-func ledgerClasses(classes []sim.ClassResult) []ledger.ClassMetric {
-	var out []ledger.ClassMetric
-	for _, c := range classes {
-		out = append(out, ledger.ClassMetric{
-			Class:       c.Class,
-			NormQuality: c.NormQuality,
-			Completed:   c.Completed,
-			Deadlined:   c.Deadlined,
-			Shed:        c.Shed,
-		})
-	}
-	return out
 }
 
 func decodeBody(r *http.Request, dst any) error {

@@ -112,14 +112,16 @@ func TestRequestIDsAndLedger(t *testing.T) {
 	if e.Cmd != "http:/v1/simulate" {
 		t.Errorf("cmd = %q", e.Cmd)
 	}
-	if e.Fingerprint == "" || e.Seed != 11 || e.Policy != "DES/C-DVFS" || e.NormQuality <= 0 {
+	// The policy is the registry's canonical name, as on the CLI.
+	if e.Fingerprint == "" || e.Seed != 11 || e.Policy != "des" || e.NormQuality <= 0 {
 		t.Errorf("entry missing provenance: %+v", e)
 	}
 	if !strings.Contains(e.Note, "request "+id) {
 		t.Errorf("note %q does not name request %s", e.Note, id)
 	}
 
-	// The SSE path records too, with the request id in the note.
+	// The SSE path records too, with the request id in the note, stamped
+	// like every fleet run: fingerprint, policy and shape included.
 	sresp, err := http.Get(srv.URL + "/v1/stream?servers=2&rate=60&duration_s=3&stream=true")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +136,8 @@ func TestRequestIDsAndLedger(t *testing.T) {
 		t.Fatalf("ledger entries = %d after stream, want 2", len(entries))
 	}
 	se := entries[1]
-	if se.Cmd != "http:/v1/stream" || !strings.Contains(se.Note, "request ") || se.Servers != 2 {
+	if se.Cmd != "http:/v1/stream" || !strings.Contains(se.Note, "request ") || se.Servers != 2 ||
+		se.Fingerprint == "" || se.Policy != "des" || se.Cores != 16 || se.BudgetW != 640 {
 		t.Errorf("stream entry wrong: %+v", se)
 	}
 }

@@ -242,13 +242,14 @@ func StreamHandler(o Options) http.Handler {
 		}
 
 		type runOutcome struct {
-			res cluster.Result
-			err error
+			res   cluster.Result
+			entry ledger.Entry
+			err   error
 		}
 		done := make(chan runOutcome, 1)
 		go func() {
-			res, err := runStreamSim(ctx, p, rec)
-			done <- runOutcome{res, err}
+			res, entry, err := runStreamSim(ctx, p, rec)
+			done <- runOutcome{res, entry, err}
 		}()
 
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -294,20 +295,7 @@ func StreamHandler(o Options) http.Handler {
 						_ = writeFrame("error", map[string]string{"error": out.err.Error()})
 						return
 					}
-					entry := ledger.Entry{
-						Seed:        p.seed,
-						Policy:      out.res.Policy,
-						Servers:     out.res.Servers,
-						DurationS:   p.duration,
-						Jobs:        out.res.Arrived,
-						Quality:     out.res.Quality,
-						NormQuality: out.res.NormQuality,
-						EnergyJ:     out.res.Energy,
-						Completed:   out.res.Completed,
-						Deadlined:   out.res.Deadlined,
-						Shed:        out.res.Shed,
-					}
-					api{o: o}.record(r, entry)
+					api{o: o}.record(r, out.entry)
 					_ = writeFrame("done", streamDone{
 						Servers:       out.res.Servers,
 						NormQuality:   out.res.NormQuality,
@@ -358,8 +346,8 @@ func StreamHandler(o Options) http.Handler {
 
 // runStreamSim executes the streamed simulation: a cluster run (one
 // server is simply a fleet of one) whose per-server epoch samplers fan
-// into rec's OnSample hook.
-func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesRecorder) (cluster.Result, error) {
+// into rec's OnSample hook. It returns the run's ledger entry too.
+func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesRecorder) (cluster.Result, ledger.Entry, error) {
 	server := sim.PaperConfig()
 	if p.cores > 0 {
 		server.Cores = p.cores
@@ -376,7 +364,7 @@ func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesReco
 	}
 	src, err := workload.NewStream(wl)
 	if err != nil {
-		return cluster.Result{}, err
+		return cluster.Result{}, ledger.Entry{}, err
 	}
 	cfg := cluster.Config{
 		Servers:      p.servers,
@@ -390,13 +378,16 @@ func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesReco
 	if p.chaosSeed != nil {
 		faults, err := cluster.ChaosFaults(*p.chaosSeed, wl.Duration, cfg.Servers, server.Cores)
 		if err != nil {
-			return cluster.Result{}, err
+			return cluster.Result{}, ledger.Entry{}, err
 		}
 		cfg.Faults = faults
 	}
 	res, err := cluster.RunStream(cfg, src)
 	if err != nil {
-		return cluster.Result{}, fmt.Errorf("stream: %w", err)
+		return cluster.Result{}, ledger.Entry{}, fmt.Errorf("stream: %w", err)
 	}
-	return res, nil
+	entry := ledger.FleetEntry(cfg, res)
+	entry.Seed = p.seed
+	entry.DurationS = p.duration
+	return res, entry, nil
 }

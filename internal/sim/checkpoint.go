@@ -37,6 +37,7 @@ import (
 
 	"dessched/internal/cfgerr"
 	"dessched/internal/eventq"
+	"dessched/internal/hashing"
 	"dessched/internal/job"
 	"dessched/internal/yds"
 )
@@ -632,27 +633,30 @@ func (e *engine) restoreTimer(c *CoreState, evs []eventSnap) error {
 	return nil
 }
 
-// fingerprintConfig hashes everything about a configuration that affects
-// simulation outcomes, FNV-1a style. Interfaces (quality functions) cannot
-// be hashed structurally, so they contribute their name plus probe
-// evaluations at fixed sample points — two functions that agree on name and
-// probes are overwhelmingly likely to be the same function.
-func fingerprintConfig(cfg *Config, policy string) uint64 {
-	f := fnv1a{h: 14695981039346656037}
-	f.str(policy)
-	f.i(cfg.Cores)
-	f.f64(cfg.Budget)
-	f.f64(cfg.Power.A)
-	f.f64(cfg.Power.Beta)
-	f.f64(cfg.Power.B)
-	f.i(len(cfg.Ladder))
+// FingerprintConfig is the configuration fingerprint snapshots carry and
+// RestoreStream checks, under the policy instance's name: an FNV-1a hash
+// of every configuration field that affects simulation outcomes. Equal
+// fingerprints mean "same experiment" for resume and for the run ledger.
+// Interfaces (quality functions) cannot be hashed structurally, so they
+// contribute their name plus probe evaluations at fixed sample points —
+// two functions that agree on name and probes are overwhelmingly likely to
+// be the same function.
+func FingerprintConfig(cfg *Config, policy string) uint64 {
+	f := hashing.New()
+	f.Str(policy)
+	f.Int(cfg.Cores)
+	f.F64(cfg.Budget)
+	f.F64(cfg.Power.A)
+	f.F64(cfg.Power.Beta)
+	f.F64(cfg.Power.B)
+	f.Int(len(cfg.Ladder))
 	for _, s := range cfg.Ladder {
-		f.f64(s)
+		f.F64(s)
 	}
 	if cfg.Quality != nil {
-		f.str(cfg.Quality.Name())
+		f.Str(cfg.Quality.Name())
 		for _, x := range [...]float64{1, 10, 100, 500, 1000} {
-			f.f64(cfg.Quality.Eval(x))
+			f.F64(cfg.Quality.Eval(x))
 		}
 	}
 	// Class-quality overrides are hashed only when present, keeping
@@ -663,20 +667,20 @@ func fingerprintConfig(cfg *Config, policy string) uint64 {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		f.i(len(names))
+		f.Int(len(names))
 		for _, name := range names {
 			q := cfg.ClassQuality[name]
-			f.str(name)
-			f.str(q.Name())
+			f.Str(name)
+			f.Str(q.Name())
 			for _, x := range [...]float64{1, 10, 100, 500, 1000} {
-				f.f64(q.Eval(x))
+				f.F64(q.Eval(x))
 			}
 		}
 	}
-	// So are the queue order and the class priorities, as the cluster
-	// fingerprint hashes them: FCFS runs without tiers keep theirs.
+	// So are the queue order and the class priorities: FCFS runs without
+	// tiers keep their fingerprints.
 	if cfg.QueueOrder != OrderFCFS {
-		f.i(int(cfg.QueueOrder))
+		f.Int(int(cfg.QueueOrder))
 	}
 	if len(cfg.ClassPriority) > 0 {
 		names := make([]string, 0, len(cfg.ClassPriority))
@@ -684,78 +688,38 @@ func fingerprintConfig(cfg *Config, policy string) uint64 {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		f.i(len(names))
+		f.Int(len(names))
 		for _, name := range names {
-			f.str(name)
-			f.i(cfg.ClassPriority[name])
+			f.Str(name)
+			f.Int(cfg.ClassPriority[name])
 		}
 	}
-	f.f64(cfg.Triggers.Quantum)
-	f.i(cfg.Triggers.Counter)
-	f.b(cfg.Triggers.IdleCore)
-	f.b(cfg.Triggers.OnArrival)
-	f.f64(cfg.IdleBurnSpeed)
-	f.f64(cfg.MaxSpeed)
-	f.b(cfg.TwoSpeedDiscrete)
-	f.i(len(cfg.Faults))
+	f.F64(cfg.Triggers.Quantum)
+	f.Int(cfg.Triggers.Counter)
+	f.Bool(cfg.Triggers.IdleCore)
+	f.Bool(cfg.Triggers.OnArrival)
+	f.F64(cfg.IdleBurnSpeed)
+	f.F64(cfg.MaxSpeed)
+	f.Bool(cfg.TwoSpeedDiscrete)
+	f.Int(len(cfg.Faults))
 	for _, fl := range cfg.Faults {
-		f.i(fl.Core)
-		f.f64(fl.Start)
-		f.f64(fl.End)
-		f.f64(fl.SpeedFactor)
+		f.Int(fl.Core)
+		f.F64(fl.Start)
+		f.F64(fl.End)
+		f.F64(fl.SpeedFactor)
 	}
-	f.i(len(cfg.BudgetFaults))
+	f.Int(len(cfg.BudgetFaults))
 	for _, fl := range cfg.BudgetFaults {
-		f.f64(fl.Start)
-		f.f64(fl.End)
-		f.f64(fl.Fraction)
+		f.F64(fl.Start)
+		f.F64(fl.End)
+		f.F64(fl.Fraction)
 	}
-	f.i(int(cfg.Admission.Policy))
-	f.i(cfg.Admission.MaxQueue)
-	f.i(cfg.Retry.MaxAttempts)
-	f.f64(cfg.Retry.Backoff)
-	f.f64(cfg.Retry.Multiplier)
-	f.f64(cfg.Retry.MaxBackoff)
-	f.f64(cfg.Retry.DeadlineSlack)
-	return f.h
-}
-
-// fnv1a is a minimal FNV-1a accumulator over typed fields.
-type fnv1a struct{ h uint64 }
-
-const fnvPrime = 1099511628211
-
-func (f *fnv1a) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		f.h ^= v & 0xff
-		f.h *= fnvPrime
-		v >>= 8
-	}
-}
-
-func (f *fnv1a) f64(v float64) { f.u64(math.Float64bits(v)) }
-func (f *fnv1a) i(v int)       { f.u64(uint64(int64(v))) }
-
-func (f *fnv1a) b(v bool) {
-	if v {
-		f.u64(1)
-	} else {
-		f.u64(0)
-	}
-}
-
-func (f *fnv1a) str(s string) {
-	for i := 0; i < len(s); i++ {
-		f.h ^= uint64(s[i])
-		f.h *= fnvPrime
-	}
-	f.u64(uint64(len(s)))
-}
-
-// FingerprintConfig exposes the checkpoint fingerprint to provenance
-// tooling (the run ledger): a stable FNV-1a hash of every configuration
-// field that affects simulation outcomes, under the named policy. Equal
-// fingerprints mean "same experiment" for replay purposes.
-func FingerprintConfig(cfg *Config, policy string) uint64 {
-	return fingerprintConfig(cfg, policy)
+	f.Int(int(cfg.Admission.Policy))
+	f.Int(cfg.Admission.MaxQueue)
+	f.Int(cfg.Retry.MaxAttempts)
+	f.F64(cfg.Retry.Backoff)
+	f.F64(cfg.Retry.Multiplier)
+	f.F64(cfg.Retry.MaxBackoff)
+	f.F64(cfg.Retry.DeadlineSlack)
+	return f.Sum()
 }

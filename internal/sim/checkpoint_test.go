@@ -1,16 +1,21 @@
 package sim_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"dessched/internal/cfgerr"
 	"dessched/internal/core"
 	"dessched/internal/job"
+	"dessched/internal/power"
+	"dessched/internal/quality"
 	"dessched/internal/sim"
 	"dessched/internal/workload"
+	"dessched/internal/yds"
 )
 
 // checkpointScenario is one workload/config shape the golden resume test
@@ -304,7 +309,8 @@ func TestResumeRejectsMismatch(t *testing.T) {
 
 // The fingerprint hashes the queue order and the class priorities only
 // when they are set, so FCFS runs without priorities keep the fingerprint
-// they had before either field was hashed.
+// they had before either field was hashed; and it hashes every other
+// field that can change an outcome.
 func TestFingerprintQueueOrderAndPriorities(t *testing.T) {
 	cfg := sim.PaperConfig()
 	const fcfs = 0x98a7bccbc2f7741f // PaperConfig under "des", as fingerprinted before either field was hashed
@@ -329,5 +335,116 @@ func TestFingerprintQueueOrderAndPriorities(t *testing.T) {
 			t.Errorf("priorities %v fingerprint like %s", tiers, prev)
 		}
 		seen[fp] = fmt.Sprint(tiers)
+	}
+
+	// No field can be forgotten: changing any leaf of a config with every
+	// slice and map populated must move the fingerprint, unless the field
+	// is outcome-free.
+	full := func() sim.Config {
+		c := sim.PaperConfig()
+		c.Ladder = power.Ladder{0.5, 1, 2}
+		c.ClassQuality = map[string]quality.Function{"gold": quality.NewExponential(0.01)}
+		c.ClassPriority = map[string]int{"gold": 1}
+		c.Faults = []sim.Fault{{Core: 1, Start: 1, End: 2, SpeedFactor: 0.5}}
+		c.BudgetFaults = []sim.BudgetFault{{Start: 1, End: 2, Fraction: 0.5}}
+		return c
+	}
+	outcomeFree := map[string]bool{"Observer": true, "Recorder": true, "Context": true, "CollectJobs": true}
+	swaps := map[string]any{
+		"Quality":  quality.NewExponential(0.004),
+		"Recorder": nopRecorder{},
+		"Context":  context.Background(),
+	}
+	base := full()
+	want := sim.FingerprintConfig(&base, "des")
+	eachFieldChange(t, full, swaps, func(path string, c *sim.Config) {
+		if got := sim.FingerprintConfig(c, "des"); outcomeFree[path] != (got == want) {
+			t.Errorf("changing %s: fingerprint %#x, base %#x (outcome-free: %v)", path, got, want, outcomeFree[path])
+		}
+	})
+}
+
+type nopRecorder struct{}
+
+func (nopRecorder) RecordExec(int, yds.Segment) {}
+
+// eachFieldChange calls check once per leaf field of the config newCfg
+// builds, with a fresh config in which only that leaf was changed. Structs
+// recurse, non-empty slices recurse into their elements, and every other
+// value is a leaf: a number or bool changes value, a string grows, an
+// empty slice gains an element, a map gains an entry, and a nil func or
+// pointer gets one. An interface leaf takes its value from swaps, keyed by
+// path; a leaf with no way to change it fails the test.
+func eachFieldChange[C any](t *testing.T, newCfg func() C, swaps map[string]any, check func(path string, c *C)) {
+	t.Helper()
+	var walk func(v reflect.Value, path string, leaf func(string, reflect.Value))
+	walk = func(v reflect.Value, path string, leaf func(string, reflect.Value)) {
+		switch {
+		case v.Kind() == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if path != "" {
+					name = path + "." + name
+				}
+				walk(v.Field(i), name, leaf)
+			}
+		case v.Kind() == reflect.Slice && v.Len() > 0:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i), leaf)
+			}
+		default:
+			leaf(path, v)
+		}
+	}
+	change := func(path string, v reflect.Value) {
+		if s, ok := swaps[path]; ok {
+			v.Set(reflect.ValueOf(s))
+			return
+		}
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		case reflect.Map:
+			val := reflect.Zero(v.Type().Elem())
+			if it := v.MapRange(); it.Next() {
+				val = it.Value()
+			}
+			if v.IsNil() {
+				v.Set(reflect.MakeMap(v.Type()))
+			}
+			v.SetMapIndex(reflect.ValueOf("added").Convert(v.Type().Key()), val)
+		case reflect.Func:
+			v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value {
+				panic("never called")
+			}))
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		default:
+			t.Fatalf("%s: no way to change a %s field; add a swap", path, v.Kind())
+		}
+	}
+	var paths []string
+	c := newCfg()
+	walk(reflect.ValueOf(&c).Elem(), "", func(p string, _ reflect.Value) { paths = append(paths, p) })
+	for k, path := range paths {
+		c := newCfg()
+		i := 0
+		walk(reflect.ValueOf(&c).Elem(), "", func(p string, v reflect.Value) {
+			if i == k {
+				change(p, v)
+			}
+			i++
+		})
+		check(path, &c)
 	}
 }

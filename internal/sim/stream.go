@@ -67,7 +67,7 @@ func NewStream(cfg Config, p Policy) (*Stream, error) {
 		e:           e,
 		baseWindows: len(cfg.BudgetFaults),
 		openFrac:    1,
-		baseFP:      fingerprintConfig(&e.cfg, p.Name()),
+		baseFP:      FingerprintConfig(&e.cfg, p.Name()),
 	}, nil
 }
 

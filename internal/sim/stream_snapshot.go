@@ -123,7 +123,7 @@ func RestoreStream(cfg Config, p Policy, snap *Snapshot) (*Stream, error) {
 	if snap.Policy != p.Name() {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot was taken under policy %q, resuming with %q", snap.Policy, p.Name())
 	}
-	if want := fingerprintConfig(&cfg, p.Name()); snap.Fingerprint != want {
+	if want := FingerprintConfig(&cfg, p.Name()); snap.Fingerprint != want {
 		return nil, cfgerr.New("sim", "checkpoint", "sim: snapshot fingerprint %#x does not match configuration %#x — restore needs the exact creation config of the original session", snap.Fingerprint, want)
 	}
 	ss := snap.Stream

@@ -1,7 +1,7 @@
 // Package ledger is the run provenance layer: an append-only JSONL
 // manifest (results/ledger.jsonl by default) where every simulation,
 // sweep, chaos, tournament, or HTTP run can record what exactly ran —
-// config fingerprint (the checkpoint FNV machinery), workload hash,
+// config fingerprint (the one its snapshot carries), workload hash,
 // seeds, policies, headline quality/energy/class metrics, invariant
 // outcomes, peak RSS, go version. The point is to make every number in
 // EXPERIMENTS.md or a paper table traceable to an exact config+seed:
@@ -20,6 +20,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"time"
+
+	"dessched/internal/hashing"
 )
 
 // Schema identifies the ledger entry JSON layout; bump on breaking
@@ -53,9 +55,8 @@ type Entry struct {
 	// GoVersion is runtime.Version(); Append stamps it when empty.
 	GoVersion string `json:"go_version"`
 
-	// Fingerprint is the config fingerprint as 16 hex digits — the same
-	// FNV-1a hash the checkpoint layer uses (sim.FingerprintConfig /
-	// cluster.FingerprintConfig).
+	// Fingerprint is the config fingerprint as 16 hex digits: the one the
+	// run's snapshot carries (see ServerEntry and FleetEntry).
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// WorkloadHash fingerprints the workload input (spec or trace file
 	// bytes, or the generator parameters) as 16 hex digits.
@@ -103,12 +104,9 @@ func Fingerprint(h uint64) string { return fmt.Sprintf("%016x", h) }
 // FNV-1a style, formatted like Fingerprint. Hash the bytes actually
 // read, so a re-run can verify its input is the same file.
 func HashBytes(b []byte) string {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return Fingerprint(h)
+	f := hashing.New()
+	f.Bytes(b)
+	return Fingerprint(f.Sum())
 }
 
 // Append stamps the entry (Schema always; Time and GoVersion only when

@@ -1,5 +1,7 @@
 package span
 
+import "dessched/internal/hashing"
+
 // Deterministic span sampling. A sampling tracer keeps a seeded,
 // per-name-counter slice of the spans it is offered: the keep/drop
 // decision for the n-th span named N depends only on (seed, N, n), never
@@ -66,7 +68,7 @@ func NewSamplingLimited(cfg SampleConfig, maxSpans int) *Tracer {
 	}
 	sortStrings(names)
 	for _, name := range names {
-		s.rules = append(s.rules, sampleRule{name: name, hash: fnvString(name), rate: cfg.Rates[name]})
+		s.rules = append(s.rules, sampleRule{name: name, hash: nameHash(name), rate: cfg.Rates[name]})
 	}
 	t.sampler = s
 	return t
@@ -113,7 +115,7 @@ func (t *Tracer) Child(index int) *Tracer {
 		return NewLimited(t.limit)
 	}
 	cfg := SampleConfig{
-		Seed: splitmix64(t.sampler.seed ^ (uint64(index)+1)*0x9E3779B97F4A7C15),
+		Seed: hashing.SplitMix64(t.sampler.seed ^ (uint64(index)+1)*0x9E3779B97F4A7C15),
 		Rate: t.sampler.defaultRate,
 	}
 	c := NewSamplingLimited(cfg, t.limit)
@@ -138,7 +140,7 @@ func (s *sampler) keep(name string) bool {
 	if r.rate <= 0 {
 		return false
 	}
-	x := splitmix64(s.seed ^ r.hash ^ (n+1)*0x9E3779B97F4A7C15)
+	x := hashing.SplitMix64(s.seed ^ r.hash ^ (n+1)*0x9E3779B97F4A7C15)
 	// 53 uniform bits → [0,1); strict < keeps rate-0 exact and rate-1
 	// (handled above) total.
 	return float64(x>>11)*(1.0/(1<<53)) < r.rate
@@ -153,28 +155,13 @@ func (s *sampler) rule(name string) *sampleRule {
 			return &s.rules[i]
 		}
 	}
-	s.rules = append(s.rules, sampleRule{name: name, hash: fnvString(name), rate: s.defaultRate})
+	s.rules = append(s.rules, sampleRule{name: name, hash: nameHash(name), rate: s.defaultRate})
 	return &s.rules[len(s.rules)-1]
 }
 
-// splitmix64 is the standard 64-bit finalizer-style mixer — the same
-// generator the simulator's seeded components use for decorrelated,
-// platform-independent streams.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// fnvString is FNV-1a over the name bytes — matching the checkpoint
-// fingerprint machinery's choice of hash, allocation-free.
-func fnvString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// nameHash is FNV-1a over the name bytes.
+func nameHash(name string) uint64 {
+	f := hashing.New()
+	f.Bytes([]byte(name))
+	return f.Sum()
 }

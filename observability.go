@@ -4,8 +4,6 @@ import (
 	"io"
 
 	"dessched/internal/cfgerr"
-	"dessched/internal/cluster"
-	"dessched/internal/sim"
 	"dessched/internal/telemetry/flightrec"
 	"dessched/internal/telemetry/ledger"
 	"dessched/internal/telemetry/span"
@@ -98,25 +96,25 @@ func ReadLedger(path string) ([]LedgerEntry, error) { return ledger.Read(path) }
 // shape and outcome.
 func DiffLedger(a, b LedgerEntry) []string { return ledger.Diff(a, b) }
 
-// LedgerFingerprint formats a 64-bit config fingerprint the way ledger
-// entries store it (16 hex digits).
-func LedgerFingerprint(h uint64) string { return ledger.Fingerprint(h) }
-
 // LedgerHashBytes fingerprints raw workload input bytes (a spec or
 // trace file) for LedgerEntry.WorkloadHash.
 func LedgerHashBytes(b []byte) string { return ledger.HashBytes(b) }
 
-// FingerprintServerConfig hashes everything about a single-server
-// configuration that affects simulation outcomes under the named policy
-// — the checkpoint layer's FNV-1a fingerprint, exposed for ledger
-// entries.
-func FingerprintServerConfig(cfg ServerConfig, policy string) uint64 {
-	return sim.FingerprintConfig(&cfg, policy)
+// ServerLedgerEntry stamps a single-server run for the ledger: cfg is
+// the exact config the run used (faults applied) and policy the canonical
+// scheduler name. The entry carries the fingerprint the run's snapshots
+// carry, the run shape, and the outcome and class fields; the caller adds
+// Cmd, Seed, Workload, WorkloadHash, DurationS, Note and FlightDumps.
+func ServerLedgerEntry(cfg *ServerConfig, policy string, res Result) LedgerEntry {
+	return ledger.ServerEntry(cfg, policy, res)
 }
 
-// FingerprintClusterConfig hashes a cluster configuration the way the
-// checkpoint layer does (workload excluded — hash the spec or trace
-// bytes separately with LedgerHashBytes).
-func FingerprintClusterConfig(cfg ClusterConfig) uint64 {
-	return cluster.FingerprintConfig(cfg)
+// ClusterLedgerEntry stamps a fleet run for the ledger, fingerprinted as
+// its snapshots are; the caller adds what ServerLedgerEntry's does.
+func ClusterLedgerEntry(cfg ClusterConfig, res ClusterResult) LedgerEntry {
+	return ledger.FleetEntry(cfg, res)
 }
+
+// SweepLedgerEntry stamps a sweep for the ledger: the grid's policies,
+// seeds and shape, and the best cell's headline numbers in the note.
+func SweepLedgerEntry(rep SweepReport) LedgerEntry { return ledger.SweepEntry(rep) }
