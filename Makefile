@@ -115,12 +115,18 @@ ledger-smoke:
 		-ledger /tmp/dessched-ledger.jsonl >/dev/null 2>&1
 	$(GO) run ./cmd/desim sim -servers 2 -rate 50 -duration 2 -discrete \
 		-ledger /tmp/dessched-ledger.jsonl >/dev/null 2>&1
+	$(GO) run ./cmd/desim sweep -rates 30 -duration 3 -budgets 320 \
+		-ledger /tmp/dessched-ledger.jsonl >/dev/null
+	$(GO) run ./cmd/desim sweep -rates 30 -duration 3 -budgets 400 \
+		-ledger /tmp/dessched-ledger.jsonl >/dev/null
 	$(GO) run ./cmd/desim ledger list -in /tmp/dessched-ledger.jsonl
 	$(GO) run ./cmd/desim ledger show -in /tmp/dessched-ledger.jsonl -- -1 \
 		| grep -q '"schema": "dessched-run/v1"'
 	$(GO) run ./cmd/desim ledger diff -in /tmp/dessched-ledger.jsonl 0 1 \
 		| grep -q 'seed: 1 → 2'
 	$(GO) run ./cmd/desim ledger diff -in /tmp/dessched-ledger.jsonl 2 3 \
+		| grep -q '^  fingerprint: '
+	$(GO) run ./cmd/desim ledger diff -in /tmp/dessched-ledger.jsonl 4 5 \
 		| grep -q '^  fingerprint: '
 
 # Every exported identifier in the streaming-facing packages must carry a

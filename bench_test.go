@@ -17,7 +17,6 @@
 package dessched_test
 
 import (
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -30,6 +29,7 @@ import (
 	"dessched/internal/experiments"
 	"dessched/internal/job"
 	"dessched/internal/qeopt"
+	"dessched/internal/stats"
 	"dessched/internal/tians"
 	"dessched/internal/workload"
 	"dessched/internal/yds"
@@ -230,6 +230,23 @@ func BenchmarkOnlineQETwoSpeedDiscrete(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateWorkload generates the paper's stream at paper-heavy's
+// size, 200 req/s over 150 s (~30k jobs): what the benchmark's paper-heavy
+// workload times as setup_s.
+func BenchmarkGenerateWorkload(b *testing.B) {
+	wl := dessched.PaperWorkload(200)
+	wl.Duration = 150
+	jobs := 0
+	for i := 0; i < b.N; i++ {
+		out, err := dessched.GenerateWorkload(wl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += len(out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
+}
+
 func BenchmarkGenerateDiurnalWorkload(b *testing.B) {
 	cfg := workload.DefaultDiurnal(150)
 	cfg.Duration = 60
@@ -366,18 +383,20 @@ func peakRSSBytes() int64 {
 // BenchmarkSpansOverheadGate holds the always-on observability tier — the
 // sampling span tracer on 1% of replans and the flight recorder, fresh per
 // run — to under 5% ns/event over the bare hot path: the paper server
-// under C-DVFS DES on 1 s of PaperWorkload(200). After one untimed
-// warm-up per side, each iteration times nine interleaved rounds (bare,
-// then armed, each after a runtime.GC()), and the ratio is the armed
-// side's best ns/event over the bare side's. Interleaving cancels clock
-// and cache drift; best-of cancels one-sided noise, since interruptions
-// only ever slow a run down.
+// under C-DVFS DES on 60 s of PaperWorkload(200), 36,158 events and about
+// 30 ms a run. After one untimed warm-up per side, each iteration times
+// 21 interleaved pairs, bare then armed on even rounds and armed then bare
+// on odd ones, each run after a runtime.GC(). The gate reads the median of
+// the per-round armed/bare ratios, the statistic the benchmark's
+// obs_overhead_ratio uses: pairing cancels clock and thermal drift,
+// alternating cancels the order, and the median drops the rounds an
+// interruption hit.
 func BenchmarkSpansOverheadGate(b *testing.B) {
-	const limit, rounds = 1.05, 9
+	const limit, rounds = 1.05, 21
 	cfg := dessched.PaperServer()
 	dessched.ApplyArch(&cfg, dessched.CDVFS)
 	wl := dessched.PaperWorkload(200)
-	wl.Duration = 1
+	wl.Duration = 60
 	jobs, err := dessched.GenerateWorkload(wl)
 	if err != nil {
 		b.Fatal(err)
@@ -409,16 +428,23 @@ func BenchmarkSpansOverheadGate(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	bestBare, bestArmed := math.Inf(1), math.Inf(1)
+	var bareNs, armedNs, ratios []float64
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < rounds; r++ {
-			bestBare = math.Min(bestBare, timed(bare))
-			bestArmed = math.Min(bestArmed, timed(armed))
+			var x, y float64
+			if r%2 == 0 {
+				x = timed(bare)
+				y = timed(armed)
+			} else {
+				y = timed(armed)
+				x = timed(bare)
+			}
+			bareNs, armedNs, ratios = append(bareNs, x), append(armedNs, y), append(ratios, y/x)
 		}
 	}
-	ratio := bestArmed / bestBare
-	b.ReportMetric(bestBare, "bare-ns/event")
-	b.ReportMetric(bestArmed, "armed-ns/event")
+	ratio := stats.Percentile(ratios, 50)
+	b.ReportMetric(stats.Percentile(bareNs, 50), "bare-ns/event")
+	b.ReportMetric(stats.Percentile(armedNs, 50), "armed-ns/event")
 	b.ReportMetric(ratio, "overhead-ratio")
 	if ratio >= limit {
 		b.Fatalf("overhead ratio %.4f breaches the %.2f gate: the armed tracer+flight tier costs %.0f%% or more ns/event over the bare hot path",

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dessched/internal/admission"
 	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 	"dessched/internal/power"
@@ -31,6 +32,7 @@ func TestFingerprintConfigCoversEveryField(t *testing.T) {
 		server.ClassPriority = map[string]int{"gold": 1}
 		server.Faults = []sim.Fault{{Core: 1, Start: 1, End: 2, SpeedFactor: 0.5}}
 		server.BudgetFaults = []sim.BudgetFault{{Start: 1, End: 2, Fraction: 0.5}}
+		server.Admission = admission.Config{Policy: admission.TailDrop, MaxQueue: 16}
 		return Config{
 			Servers:      2,
 			Server:       server,

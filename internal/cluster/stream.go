@@ -40,7 +40,8 @@ type coordinator struct {
 	horizon     float64 // max deadline seen
 	lastRelease float64
 	fed         int
-	hash        hashing.FNV1a
+	hash        hashing.FNV1a // rolling hash of the arrivals, while hashJobs
+	hashJobs    bool
 
 	srcDone bool
 	nBudget int // budget epochs = ⌈horizon/ε⌉, valid once srcDone
@@ -97,6 +98,7 @@ func newCoordinator(cfg Config, materialized bool) *coordinator {
 		batches:  make([][]job.Job, cfg.Servers),
 		jobs:     make([]int, cfg.Servers),
 		hash:     hashing.New(),
+		hashJobs: cfg.StreamCheckpoint != nil, // only snapshots (and a resume's prefix check) read the hash
 		hedging:  cfg.Hedge.Enabled() && cfg.Servers >= 2,
 		root:     span.NoSpan,
 		dispatch: span.NoSpan,
@@ -142,8 +144,8 @@ func newCoordinator(cfg Config, materialized bool) *coordinator {
 func (c *coordinator) epochEnd(e int) float64 { return float64(e)*c.cfg.Epoch + c.cfg.Epoch }
 
 // ingest routes one epoch's arrivals: per job, in order — validate, fold
-// into the rolling hash, route, account demand and horizon, and apply the
-// hedging rules.
+// into the rolling hash when hashJobs, route, account demand and horizon,
+// and apply the hedging rules.
 func (c *coordinator) ingest(epoch int, arr []job.Job) error {
 	for s := range c.batches {
 		c.batches[s] = c.batches[s][:0]
@@ -159,13 +161,15 @@ func (c *coordinator) ingest(epoch int, arr []job.Job) error {
 		if j.Release >= t1 {
 			return cfgerr.New("cluster", "source", "cluster: source returned a job released at %g past the epoch end %g", j.Release, t1)
 		}
-		c.hash.U64(uint64(j.ID))
-		c.hash.F64(j.Release)
-		c.hash.F64(j.Deadline)
-		c.hash.F64(j.Demand)
-		c.hash.Bool(j.Partial)
-		if j.Class != "" {
-			c.hash.Str(j.Class)
+		if c.hashJobs {
+			c.hash.U64(uint64(j.ID))
+			c.hash.F64(j.Release)
+			c.hash.F64(j.Deadline)
+			c.hash.F64(j.Demand)
+			c.hash.Bool(j.Partial)
+			if j.Class != "" {
+				c.hash.Str(j.Class)
+			}
 		}
 		s, moved := c.dp.route(j)
 		if moved {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -340,6 +341,49 @@ func TestResumeStreamRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestResumeStreamRejectsOneULP: a source of the snapshot's length whose
+// prefix differs from the original in one job's demand by one ulp fails
+// the rolling-hash check, whether or not the resumed configuration
+// checkpoints — a resume hashes its replayed prefix either way — while the
+// original source resumes under both.
+func TestResumeStreamRejectsOneULP(t *testing.T) {
+	jobs := testJobs(t, 100, 2)
+	cfg := testConfig(3)
+	cfg.GlobalBudget = 150
+	cfg.Epoch = 0.5
+
+	var snap *StreamSnapshot
+	ck := cfg
+	ck.StreamCheckpoint = &StreamCheckpointConfig{Every: 2, Sink: func(s *StreamSnapshot) error {
+		if snap == nil {
+			snap = s
+		}
+		return nil
+	}}
+	if _, err := RunStream(ck, job.NewSliceSource(jobs)); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no checkpoint captured")
+	}
+	k := snap.JobsFed - 1 // the last job of the checkpointed prefix
+	if k < 0 {
+		t.Fatal("the snapshot covers no jobs")
+	}
+	drifted := append([]job.Job(nil), jobs...)
+	drifted[k].Demand = math.Nextafter(drifted[k].Demand, math.Inf(1))
+
+	for name, resumed := range map[string]Config{"plain": cfg, "checkpointing": ck} {
+		if _, err := ResumeStream(resumed, job.NewSliceSource(jobs), snap); err != nil {
+			t.Errorf("%s: resume from the original source: %v", name, err)
+		}
+		var ce *cfgerr.Error
+		if _, err := ResumeStream(resumed, job.NewSliceSource(drifted), snap); !errors.As(err, &ce) {
+			t.Errorf("%s: resume from a source with job %d's demand one ulp up returned %v, want *cfgerr.Error", name, k, err)
+		}
+	}
+}
+
 // TestRunStreamRejectsBatchKnobs pins the slice-vs-lazy probe rule: over a
 // lazy source the probes that grow with the run are rejected with typed
 // errors; over a job slice the same configurations run.
@@ -440,4 +484,33 @@ func TestHedgeReplicasStayInsideBudgetHorizon(t *testing.T) {
 func budgetWindowsFor(t *testing.T, cfg Config, jobs []job.Job) [][]sim.BudgetFault {
 	t.Helper()
 	return budgetRun(t, cfg, jobs).BudgetWindows
+}
+
+// BenchmarkIngest runs the coordinator's ingest stage — validate, hash
+// when a snapshot reads it, route, account, hedge — on one 1 s epoch of
+// the fleet-paper workload's stream (61,440 jobs) into 1,024 round-robin
+// servers under an 85% global budget. Each iteration builds its
+// coordinator outside the timer.
+func BenchmarkIngest(b *testing.B) {
+	wl := workload.DefaultConfig(61440)
+	wl.Duration = 1
+	arr, err := workload.Generate(wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := testConfig(1024)
+	cfg.Dispatch = RoundRobin
+	cfg.GlobalBudget = 0.85 * 1024 * 80
+	jobs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newCoordinator(cfg, false)
+		b.StartTimer()
+		if err := c.ingest(0, arr); err != nil {
+			b.Fatal(err)
+		}
+		jobs += len(arr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
 }

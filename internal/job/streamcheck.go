@@ -16,6 +16,11 @@ type StreamValidator struct {
 	classes     map[string]*classTrack
 	lastRelease float64
 	started     bool
+
+	// last caches the previous job's class track: a run of same-class
+	// jobs skips the map lookup.
+	lastClass string
+	last      *classTrack
 }
 
 // classTrack mirrors Agreeable's linear scan for one class: the maximum
@@ -38,13 +43,16 @@ func (v *StreamValidator) Check(j Job) error {
 	}
 	v.started = true
 	v.lastRelease = j.Release
-	if v.classes == nil {
-		v.classes = make(map[string]*classTrack)
-	}
-	t := v.classes[j.Class]
-	if t == nil {
-		v.classes[j.Class] = &classTrack{runRelease: j.Release, runMax: j.Deadline}
-		return nil
+	t := v.last
+	if t == nil || j.Class != v.lastClass {
+		if v.classes == nil {
+			v.classes = make(map[string]*classTrack)
+		}
+		if t = v.classes[j.Class]; t == nil {
+			v.classes[j.Class] = &classTrack{runRelease: j.Release, runMax: j.Deadline}
+			return nil
+		}
+		v.lastClass, v.last = j.Class, t
 	}
 	if j.Release > t.runRelease {
 		if t.runMax > t.maxEarlier {
@@ -99,6 +107,7 @@ func (v *StreamValidator) Restore(s StreamValidatorState) {
 	v.lastRelease = s.LastRelease
 	v.started = s.Started
 	v.classes = nil
+	v.lastClass, v.last = "", nil
 	if len(s.Classes) > 0 {
 		v.classes = make(map[string]*classTrack, len(s.Classes))
 		for _, c := range s.Classes {

@@ -714,8 +714,14 @@ func FingerprintConfig(cfg *Config, policy string) uint64 {
 		f.F64(fl.End)
 		f.F64(fl.Fraction)
 	}
+	// A disabled admission stage ignores its queue bound, so the bound
+	// counts as 0 there: Policy none hashes like the zero Admission.
+	maxQueue := 0
+	if cfg.Admission.Enabled() {
+		maxQueue = cfg.Admission.MaxQueue
+	}
 	f.Int(int(cfg.Admission.Policy))
-	f.Int(cfg.Admission.MaxQueue)
+	f.Int(maxQueue)
 	f.Int(cfg.Retry.MaxAttempts)
 	f.F64(cfg.Retry.Backoff)
 	f.F64(cfg.Retry.Multiplier)

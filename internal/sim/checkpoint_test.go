@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dessched/internal/admission"
 	"dessched/internal/cfgerr"
 	"dessched/internal/core"
 	"dessched/internal/job"
@@ -309,13 +310,19 @@ func TestResumeRejectsMismatch(t *testing.T) {
 
 // The fingerprint hashes the queue order and the class priorities only
 // when they are set, so FCFS runs without priorities keep the fingerprint
-// they had before either field was hashed; and it hashes every other
-// field that can change an outcome.
+// they had before either field was hashed; a disabled admission stage's
+// queue bound, which no run reads, leaves it alone too; and it hashes
+// every other field that can change an outcome.
 func TestFingerprintQueueOrderAndPriorities(t *testing.T) {
 	cfg := sim.PaperConfig()
 	const fcfs = 0x98a7bccbc2f7741f // PaperConfig under "des", as fingerprinted before either field was hashed
 	if got := sim.FingerprintConfig(&cfg, "des"); got != fcfs {
 		t.Errorf("FCFS fingerprint %#x, want %#x", got, uint64(fcfs))
+	}
+	off := cfg
+	off.Admission = admission.Config{Policy: admission.None, MaxQueue: 16}
+	if got := sim.FingerprintConfig(&off, "des"); got != fcfs {
+		t.Errorf("admission none with max_queue 16: fingerprint %#x, want the plain %#x", got, uint64(fcfs))
 	}
 	seen := map[uint64]string{fcfs: "fcfs"}
 	for _, o := range []sim.QueueOrder{sim.OrderSJF, sim.OrderEDF, sim.OrderPrioSJF, sim.OrderPrioEDF} {
@@ -347,6 +354,7 @@ func TestFingerprintQueueOrderAndPriorities(t *testing.T) {
 		c.ClassPriority = map[string]int{"gold": 1}
 		c.Faults = []sim.Fault{{Core: 1, Start: 1, End: 2, SpeedFactor: 0.5}}
 		c.BudgetFaults = []sim.BudgetFault{{Start: 1, End: 2, Fraction: 0.5}}
+		c.Admission = admission.Config{Policy: admission.TailDrop, MaxQueue: 16}
 		return c
 	}
 	outcomeFree := map[string]bool{"Observer": true, "Recorder": true, "Context": true, "CollectJobs": true}

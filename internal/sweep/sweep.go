@@ -22,6 +22,7 @@ import (
 	"dessched/internal/admission"
 	"dessched/internal/cfgerr"
 	"dessched/internal/cluster"
+	"dessched/internal/hashing"
 	"dessched/internal/job"
 	"dessched/internal/quality"
 	"dessched/internal/sim"
@@ -165,6 +166,63 @@ func (g Grid) Validate() error {
 		return cfgerr.New("sweep", "max_queue", "sweep: max_queue is only meaningful with an admission policy")
 	}
 	return nil
+}
+
+// FingerprintGrid is the identity of the grid g runs, defaults filled in:
+// an FNV-1a hash of every axis (rates, cores, budgets, policies, seeds),
+// the duration, and every scalar that shapes a cell — servers, dispatch,
+// global budget fraction, epoch, queue order, admission and its queue
+// bound, and the workload spec. A name counts by the registry entry it
+// names, so an alias fingerprints like its canonical name. Run ledgers
+// stamp sweep entries with it.
+func FingerprintGrid(g Grid) uint64 {
+	g = g.withDefaults()
+	f := hashing.New()
+	f.Int(len(g.Rates))
+	for _, r := range g.Rates {
+		f.F64(r)
+	}
+	f.Int(len(g.Cores))
+	for _, c := range g.Cores {
+		f.Int(c)
+	}
+	f.Int(len(g.Budgets))
+	for _, b := range g.Budgets {
+		f.F64(b)
+	}
+	f.Int(len(g.Policies))
+	for _, p := range g.Policies {
+		if spec, err := cluster.ParsePolicy(p); err == nil {
+			p = spec.Name
+		}
+		f.Str(p)
+	}
+	f.Int(len(g.Seeds))
+	for _, s := range g.Seeds {
+		f.U64(s)
+	}
+	f.F64(g.Duration)
+	f.Int(g.Servers)
+	dispatch, _ := cluster.ParseDispatch(g.Dispatch)
+	f.Int(int(dispatch))
+	f.F64(g.GlobalBudgetFrac)
+	f.F64(g.Epoch)
+	order, _ := sim.ParseQueueOrder(g.QueueOrder)
+	f.Int(int(order))
+	ap, _ := admission.ParsePolicy(g.Admission)
+	f.Int(int(ap))
+	f.Int(g.MaxQueue)
+	f.Bool(g.Workload != nil)
+	if g.Workload != nil {
+		// Every cell sets the spec's seed and duration from the grid,
+		// which is hashed above. A validated spec holds no NaN or
+		// infinity, so it always encodes.
+		spec := *g.Workload
+		spec.Seed, spec.Duration = 0, 0
+		raw, _ := json.Marshal(&spec)
+		f.Str(string(raw))
+	}
+	return f.Sum()
 }
 
 // applySLO installs the grid's scalar SLO knobs (queue order, admission,

@@ -11,6 +11,7 @@ import (
 	"dessched/internal/cluster"
 	"dessched/internal/sim"
 	"dessched/internal/workload"
+	"dessched/internal/workloadspec"
 )
 
 func smallGrid() Grid {
@@ -281,5 +282,69 @@ func TestWriteJSONAndCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "index,rate,cores") {
 		t.Errorf("unexpected CSV header: %s", lines[0])
+	}
+}
+
+// TestFingerprintGrid: every axis and every scalar that shapes a cell
+// moves the grid's fingerprint; spelling out a default or a policy alias
+// does not. The 320 W and 400 W grids are the pair a ledger once could not
+// tell apart.
+func TestFingerprintGrid(t *testing.T) {
+	base := func() Grid { return Grid{Rates: []float64{30}, Budgets: []float64{320}, Duration: 3} }
+	spec := func(seed uint64) *workloadspec.Spec {
+		return &workloadspec.Spec{
+			Schema: workloadspec.SchemaV1, Name: "one", Duration: 3, Seed: seed,
+			Classes: []workloadspec.ClassSpec{{
+				Name: "web", Rate: 30, Deadline: 0.15,
+				Demand: workloadspec.DemandSpec{Dist: "bounded-pareto", Alpha: 3, Min: 130, Max: 1000},
+			}},
+		}
+	}
+	changes := map[string]func(*Grid){
+		"rates":              func(g *Grid) { g.Rates = []float64{30, 60} },
+		"cores":              func(g *Grid) { g.Cores = []int{8} },
+		"budgets":            func(g *Grid) { g.Budgets = []float64{400} },
+		"policies":           func(g *Grid) { g.Policies = []string{"fcfs-wf"} },
+		"seeds":              func(g *Grid) { g.Seeds = []uint64{2} },
+		"duration":           func(g *Grid) { g.Duration = 4 },
+		"servers":            func(g *Grid) { g.Servers = 2 },
+		"dispatch":           func(g *Grid) { g.Servers, g.Dispatch = 2, "least-loaded" },
+		"global_budget_frac": func(g *Grid) { g.Servers, g.GlobalBudgetFrac = 2, 0.5 },
+		"epoch":              func(g *Grid) { g.Servers, g.Epoch = 2, 0.5 },
+		"queue_order":        func(g *Grid) { g.QueueOrder = "edf" },
+		"admission":          func(g *Grid) { g.Admission, g.MaxQueue = "tail-drop", 16 },
+		"max_queue":          func(g *Grid) { g.Admission, g.MaxQueue = "tail-drop", 17 },
+		"workload":           func(g *Grid) { g.Rates, g.Workload = nil, spec(1) },
+		"workload class":     func(g *Grid) { g.Rates, g.Workload = nil, spec(1); g.Workload.Classes[0].Deadline = 0.2 },
+	}
+	seen := map[uint64]string{FingerprintGrid(base()): "base"}
+	for name, change := range changes {
+		g := base()
+		change(&g)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fp := FingerprintGrid(g)
+		if prev, dup := seen[fp]; dup {
+			t.Errorf("changing %s fingerprints like %s", name, prev)
+		}
+		seen[fp] = name
+	}
+
+	want := FingerprintGrid(base())
+	spelled := base()
+	spelled.Cores, spelled.Policies, spelled.Seeds, spelled.Servers = []int{16}, []string{"des-c"}, []uint64{1}, 1
+	spelled.Dispatch, spelled.QueueOrder, spelled.Admission = "round-robin", "fcfs", "none"
+	if got := FingerprintGrid(spelled); got != want {
+		t.Errorf("defaults and aliases spelled out: fingerprint %#x, want %#x", got, want)
+	}
+	// The cells take their seed and duration from the grid, so the spec's
+	// own are not part of the identity.
+	a, b := base(), base()
+	a.Rates, a.Workload = nil, spec(1)
+	b.Rates, b.Workload = nil, spec(9)
+	b.Workload.Duration = 50
+	if FingerprintGrid(a) != FingerprintGrid(b) {
+		t.Error("the workload spec's own seed and duration moved the grid fingerprint")
 	}
 }

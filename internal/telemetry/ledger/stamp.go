@@ -16,7 +16,8 @@ import (
 //     that is sim.FingerprintConfig of the engine config under the policy
 //     instance's name (sim.Result.Policy), which is what RestoreStream
 //     checks; for a fleet it is cluster.FingerprintConfig. A sweep runs
-//     many configurations and carries none.
+//     many configurations; it carries sweep.FingerprintGrid, the identity
+//     of its grid.
 //   - Policy (and each of Policies) is the registry's canonical name:
 //     "des", never an alias or the instance's "DES/C-DVFS".
 //
@@ -72,12 +73,13 @@ func FleetEntry(cfg cluster.Config, res cluster.Result) Entry {
 }
 
 // SweepEntry stamps a sweep with one manifest for the grid the report ran
-// (defaults filled in): every policy and seed, the arrivals summed over
-// all cells, and the headline numbers of the best cell — the first with
-// the highest normalized quality — which the note names.
+// (defaults filled in): the grid's fingerprint, every policy and seed, the
+// arrivals summed over all cells, and the headline numbers of the best
+// cell — the first with the highest normalized quality — which the note
+// names.
 func SweepEntry(rep sweep.Report) Entry {
 	g := rep.Grid
-	e := Entry{Seeds: g.Seeds, Servers: g.Servers, DurationS: g.Duration}
+	e := Entry{Fingerprint: Fingerprint(sweep.FingerprintGrid(g)), Seeds: g.Seeds, Servers: g.Servers, DurationS: g.Duration}
 	for _, p := range g.Policies {
 		e.Policies = append(e.Policies, canonicalPolicy(p))
 	}

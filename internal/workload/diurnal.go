@@ -80,7 +80,7 @@ func GenerateDiurnal(c DiurnalConfig) ([]job.Job, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	p := Process{Horizon: c.Duration, Deadline: c.Deadline, Peak: c.BaseRate * (1 + c.Amplitude), RateAt: c.Rate, Demand: c.Demand.Sample, PartialFraction: c.PartialFraction}
+	p := Process{Horizon: c.Duration, Deadline: c.Deadline, Peak: c.BaseRate * (1 + c.Amplitude), RateAt: c.Rate, Demand: c.Demand.Sampler(), PartialFraction: c.PartialFraction}
 	s := &Stream{arr: NewArrivals(p, rand.New(rand.NewPCG(c.Seed, c.Seed^0xbf58476d1ce4e5b9)))}
 	return s.Next(math.Inf(1)), nil
 }

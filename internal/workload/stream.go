@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand/v2"
 
 	"dessched/internal/job"
@@ -75,6 +76,45 @@ func (a *Arrivals) Head() *job.Job {
 	return &a.head
 }
 
+// Expected returns the expected number of candidates the process draws
+// from its last one to min(until, Horizon): Peak × the window's length. A
+// constant-rate process accepts every candidate, so this is its arrivals'
+// Poisson mean; a thinned process accepts fewer, so for it Peak only
+// bounds the count from above.
+func (a *Arrivals) Expected(until float64) float64 {
+	if a.done || until <= a.t {
+		return 0
+	}
+	return a.p.Peak * (min(until, a.p.Horizon) - a.t)
+}
+
+// maxPresize caps WindowCap, so a huge but valid config grows its window
+// buffer by append past the cap instead of failing in makeslice.
+const maxPresize = 1 << 20
+
+// WindowCap returns the capacity to reserve for the arrivals of procs
+// before until. The constant-rate processes' Expected counts sum to a
+// Poisson mean μ, and the capacity is μ + 4√μ, capped at maxPresize; a
+// window of thousands of expected jobs exceeds it with probability about
+// 3·10⁻⁵, and one that does grows by append. A thinned process
+// adds nothing: its Expected count only bounds the arrivals (Peak × the
+// horizon can be ten times the count under a short flash crowd), so
+// reserving it could exceed the capacity append would reach, and its
+// arrivals grow the buffer by append instead.
+func WindowCap(until float64, procs ...*Arrivals) int {
+	mean := 0.0
+	for _, a := range procs {
+		if a.p.RateAt == nil {
+			mean += a.Expected(until)
+		}
+	}
+	n := mean + 4*math.Sqrt(mean)
+	if !(n < maxPresize) {
+		return maxPresize
+	}
+	return int(math.Ceil(n))
+}
+
 // Stream is a job.Source over one arrival process that numbers its jobs
 // densely from 0. For any non-decreasing sequence of until values,
 // concatenating Next results gives the same jobs as Generate (or
@@ -91,7 +131,7 @@ func NewStream(c Config) (*Stream, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	p := Process{Horizon: c.Duration, Deadline: c.Deadline, Peak: c.peakRate(), Demand: c.Demand.Sample, PartialFraction: c.PartialFraction}
+	p := Process{Horizon: c.Duration, Deadline: c.Deadline, Peak: c.peakRate(), Demand: c.Demand.Sampler(), PartialFraction: c.PartialFraction}
 	if len(c.Bursts) > 0 {
 		p.RateAt = c.RateAt
 	}
@@ -99,8 +139,12 @@ func NewStream(c Config) (*Stream, error) {
 }
 
 // Next returns the arrivals with Release < until, in release order. The
-// returned slice is reused by the following Next call.
+// returned slice is reused by the following Next call; the first call
+// sizes it by WindowCap.
 func (s *Stream) Next(until float64) []job.Job {
+	if s.buf == nil {
+		s.buf = make([]job.Job, 0, WindowCap(until, s.arr))
+	}
 	s.buf = s.buf[:0]
 	for !s.arr.done && s.arr.head.Release < until {
 		j := s.arr.head

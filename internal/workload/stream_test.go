@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"dessched/internal/job"
@@ -108,6 +109,32 @@ func TestStreamDoneExact(t *testing.T) {
 	sameJobs(t, got, want)
 }
 
+// TestWindowCap: a constant-rate window is presized from its Poisson
+// mean, so Generate at paper-heavy's size fills the slice it first made
+// (no regrowth) and reserves at most a few standard deviations past its
+// jobs; a huge but valid process is capped at maxPresize.
+func TestWindowCap(t *testing.T) {
+	cfg := DefaultConfig(200)
+	cfg.Duration = 150
+	jobs, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(jobs))
+	if presize := WindowCap(math.Inf(1), s.arr); cap(jobs) != presize || presize < len(jobs) || float64(presize) > n+8*math.Sqrt(n) {
+		t.Errorf("%d jobs in a slice of capacity %d; presize %d", len(jobs), cap(jobs), presize)
+	}
+
+	huge := NewArrivals(Process{Horizon: 1e6, Deadline: 1, Peak: 1e9, Demand: DefaultDemand.Sampler()}, rand.New(rand.NewPCG(1, 2)))
+	if got := WindowCap(math.Inf(1), huge); got != maxPresize {
+		t.Errorf("WindowCap of 10^15 expected arrivals = %d, want the cap %d", got, maxPresize)
+	}
+}
+
 // TestSliceSource pins the slice adapter's windowing and Done semantics.
 func TestSliceSource(t *testing.T) {
 	jobs := []job.Job{
@@ -134,4 +161,23 @@ func TestSliceSource(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("not Done after drain")
 	}
+}
+
+// BenchmarkStreamNext pulls the fleet-paper workload's source: the paper's
+// stream at 61,440 req/s (60 per server × 1,024 servers) in four 1 s
+// windows, one per dispatch epoch.
+func BenchmarkStreamNext(b *testing.B) {
+	cfg := DefaultConfig(61440)
+	cfg.Duration = 4
+	jobs := 0
+	for i := 0; i < b.N; i++ {
+		s, err := NewStream(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for until := 1.0; until <= cfg.Duration; until++ {
+			jobs += len(s.Next(until))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
 }

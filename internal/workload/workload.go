@@ -40,17 +40,34 @@ func (b BoundedPareto) Validate() error {
 	return nil
 }
 
-// Sample draws one variate by inverse-CDF sampling.
-func (b BoundedPareto) Sample(rng *rand.Rand) float64 {
+// Sample draws one variate by inverse-CDF sampling. It prepares the
+// distribution's constants on every call; a stream that draws many
+// variates takes Sampler instead.
+func (b BoundedPareto) Sample(rng *rand.Rand) float64 { return b.prepare().sample(rng) }
+
+// Sampler returns Sample with the distribution's constants computed once:
+// the same expressions over the same operands, so the same bits per draw.
+func (b BoundedPareto) Sampler() func(*rand.Rand) float64 { return b.prepare().sample }
+
+// preparedPareto holds a BoundedPareto's per-draw constants: ratio =
+// (Xmin/Xmax)^Alpha and 1/Alpha.
+type preparedPareto struct {
+	xmin, xmax, ratio, invAlpha float64
+}
+
+func (b BoundedPareto) prepare() preparedPareto {
+	return preparedPareto{xmin: b.Xmin, xmax: b.Xmax, ratio: math.Pow(b.Xmin/b.Xmax, b.Alpha), invAlpha: 1 / b.Alpha}
+}
+
+func (p preparedPareto) sample(rng *rand.Rand) float64 {
 	u := rng.Float64()
-	ratio := math.Pow(b.Xmin/b.Xmax, b.Alpha)
-	x := b.Xmin / math.Pow(1-u*(1-ratio), 1/b.Alpha)
+	x := p.xmin / math.Pow(1-u*(1-p.ratio), p.invAlpha)
 	// Guard against floating-point drift at the boundary.
-	if x < b.Xmin {
-		x = b.Xmin
+	if x < p.xmin {
+		x = p.xmin
 	}
-	if x > b.Xmax {
-		x = b.Xmax
+	if x > p.xmax {
+		x = p.xmax
 	}
 	return x
 }

@@ -52,6 +52,34 @@ func TestBoundedParetoSampleBoundsAndMean(t *testing.T) {
 	}
 }
 
+// TestSamplerMatchesSample: the prepared sampler draws Sample's bits, and
+// those of the formula with both constants computed per draw, draw for
+// draw over 10⁵ draws from one seed — for the paper's distribution (which
+// the bimodal spec's bounded-Pareto class also uses) and shapes either
+// side of it.
+func TestSamplerMatchesSample(t *testing.T) {
+	perDraw := func(b BoundedPareto, rng *rand.Rand) float64 {
+		u := rng.Float64()
+		x := b.Xmin / math.Pow(1-u*(1-math.Pow(b.Xmin/b.Xmax, b.Alpha)), 1/b.Alpha)
+		return min(max(x, b.Xmin), b.Xmax)
+	}
+	for name, b := range map[string]BoundedPareto{
+		"paper":   DefaultDemand,
+		"alpha=1": {Alpha: 1, Xmin: 1, Xmax: math.E},
+		"heavy":   {Alpha: 0.5, Xmin: 1, Xmax: 1e6},
+		"narrow":  {Alpha: 7.5, Xmin: 10, Xmax: 11},
+	} {
+		prepared := b.Sampler()
+		r1, r2, r3 := rand.New(rand.NewPCG(11, 12)), rand.New(rand.NewPCG(11, 12)), rand.New(rand.NewPCG(11, 12))
+		for i := 0; i < 100000; i++ {
+			got, sample, ref := prepared(r1), b.Sample(r2), perDraw(b, r3)
+			if math.Float64bits(got) != math.Float64bits(sample) || math.Float64bits(got) != math.Float64bits(ref) {
+				t.Fatalf("%s: draw %d: prepared %v, Sample %v, per-draw formula %v", name, i, got, sample, ref)
+			}
+		}
+	}
+}
+
 func TestBoundedParetoMeanAlphaOne(t *testing.T) {
 	b := BoundedPareto{Alpha: 1, Xmin: 1, Xmax: math.E}
 	// mean = xmin*ln(xmax/xmin)/(1-xmin/xmax) = 1/(1-1/e).

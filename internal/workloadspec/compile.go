@@ -137,7 +137,7 @@ func peakRate(s *Spec, c *ClassSpec) float64 {
 func demandSampler(d DemandSpec) func(*rand.Rand) float64 {
 	switch d.Dist {
 	case "bounded-pareto":
-		return workload.BoundedPareto{Alpha: d.Alpha, Xmin: d.Min, Xmax: d.Max}.Sample
+		return workload.BoundedPareto{Alpha: d.Alpha, Xmin: d.Min, Xmax: d.Max}.Sampler()
 	case "uniform":
 		return func(rng *rand.Rand) float64 { return d.Min + rng.Float64()*(d.Max-d.Min) }
 	default: // point

@@ -34,8 +34,12 @@ func NewStream(s *Spec) (*Stream, error) {
 }
 
 // Next returns the merged arrivals with Release < until, in Compile order.
-// The returned slice is reused by the following Next call.
+// The returned slice is reused by the following Next call; the first call
+// sizes it by workload.WindowCap over every class.
 func (st *Stream) Next(until float64) []job.Job {
+	if st.buf == nil {
+		st.buf = make([]job.Job, 0, workload.WindowCap(until, st.classes...))
+	}
 	st.buf = st.buf[:0]
 	for {
 		var head *job.Job

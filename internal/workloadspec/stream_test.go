@@ -66,6 +66,32 @@ func sameJobs(t *testing.T, got, want []job.Job) {
 	}
 }
 
+// TestThinnedSpecPresizeWithinAppend: a thinned class's peak rate only
+// bounds its arrivals — under a 10× flash crowd over 1% of the horizon,
+// peak × horizon is about nine times the jobs drawn — so the compiled
+// slice holds no more capacity than append alone reaches for its jobs.
+func TestThinnedSpecPresizeWithinAppend(t *testing.T) {
+	s := &Spec{
+		Schema: SchemaV1, Name: "flash-crowd", Duration: 100, Seed: 3,
+		Bursts: []BurstSpec{{Start: 50, End: 51, Multiplier: 10}},
+		Classes: []ClassSpec{{
+			Name: "web", Rate: 100, Deadline: 0.15,
+			Demand: DemandSpec{Dist: "bounded-pareto", Alpha: 3, Min: 130, Max: 1000},
+		}},
+	}
+	jobs, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grown []job.Job
+	for range jobs {
+		grown = append(grown, job.Job{})
+	}
+	if cap(jobs) > cap(grown) {
+		t.Errorf("%d jobs compiled into capacity %d; append alone reaches %d", len(jobs), cap(jobs), cap(grown))
+	}
+}
+
 // TestStreamMatchesCompile pins the streamed merge bit-identical to Compile
 // across window sizes, including a single all-at-once pull.
 func TestStreamMatchesCompile(t *testing.T) {
